@@ -9,7 +9,7 @@ measurement infrastructure the reproduction is judged against:
   SNAP/DIMACS files;
 * :mod:`repro.bench.harness` — warmup-and-repetition timing of all four
   :class:`~repro.core.config.AlgorithmKind`\\ s with in-run cross-validation
-  against the naive baseline and a CSR-vs-dict backend consistency check;
+  against the naive baseline;
 * :mod:`repro.bench.report` — the ``BENCH_core.json`` schema and writer;
 * :mod:`repro.bench.diff` — ``python -m repro.bench.diff OLD NEW``, the
   report comparator CI uses as its speed-regression gate;

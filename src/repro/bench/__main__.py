@@ -39,7 +39,7 @@ rank-identical against its sequential reference)::
 
 Exit status is non-zero when any algorithm disagrees with the naive
 baseline (or, on sampled large-scale workloads, the exact-rank spot
-checks) or the CSR backend diverges from the dict backend.
+checks).
 """
 
 from __future__ import annotations
@@ -198,11 +198,6 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
         "--seed", type=int, default=0, help="workload generator seed (default: 0)"
     )
     parser.add_argument(
-        "--no-csr",
-        action="store_true",
-        help="run non-indexed queries on the dict backend instead of CSR",
-    )
-    parser.add_argument(
         "--no-validate",
         action="store_true",
         help="skip in-run cross-validation against naive (not recommended)",
@@ -263,7 +258,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             workloads,
             repetitions=repetitions,
             warmup=warmup,
-            use_csr=not args.no_csr,
             validate=not args.no_validate,
             index_cache=args.index_cache,
             workers=workers,
@@ -294,7 +288,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "repetitions": repetitions,
             "warmup": warmup,
             "seed": args.seed,
-            "use_csr": not args.no_csr,
             "validate": not args.no_validate,
             "workers": workers,
             "worker_context": args.worker_context,

@@ -8,9 +8,8 @@ old vs new timings.  The exit status is non-zero when
   relative to the *old* report (``--tolerance``, default 0.25 = fail above
   a 1.25x slowdown; use ``--tolerance 1.0`` to fail only above 2x), or
 * any non-skipped algorithm in the *new* report is **not validated**, any
-  workload carries ``backend_consistent: false``,
-  ``parallel_consistent: false``, ``parallel_index_consistent: false`` or
-  ``mutation_consistent: false``,
+  workload carries ``parallel_consistent: false``,
+  ``parallel_index_consistent: false`` or ``mutation_consistent: false``,
   or an algorithm the old
   report validated is *skipped* in the new one — a correctness
   disagreement (or the harness silently ceasing to run a gated
@@ -131,11 +130,6 @@ def compare_reports(
         old_algorithms = old_workloads.get(name, {}).get("algorithms", {})
         new_algorithms = new_workloads.get(name, {}).get("algorithms", {})
         if name in new_workloads:
-            consistent = new_workloads[name].get("backend_consistent")
-            if consistent is False:
-                failures.append(
-                    f"{name}: backend_consistent is false in the new report"
-                )
             parallel = new_workloads[name].get("parallel_consistent")
             if parallel is False:
                 failures.append(

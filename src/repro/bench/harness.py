@@ -9,11 +9,6 @@ cross-validates every optimised algorithm's results against the naive
 baseline *during the run* (a disagreement raises
 :class:`~repro.errors.CrossValidationError`, which fails the CI smoke job).
 
-A backend consistency check additionally asserts that the
-:class:`~repro.graph.csr.CompactGraph` CSR backend returns results identical
-to the dict-backed graph (bichromatic workloads included), so the
-trajectory never silently benchmarks a backend that diverged.
-
 Large-scale workloads (``Workload.naive_sample`` set) time the naive
 baseline over a deterministic candidate *sample* and extrapolate the
 exhaustive cost; exhaustive brute force at thousands of nodes would run
@@ -195,9 +190,7 @@ class WorkloadResult:
     """All algorithm timings for one workload, plus its metadata."""
 
     workload: Workload
-    backend: str
     algorithms: Dict[str, AlgorithmTiming] = field(default_factory=dict)
-    backend_consistent: Optional[bool] = None
     #: ``True`` when every parallel batch reproduced its sequential
     #: reference (rank-identical); ``None`` when no parallel pass ran.
     parallel_consistent: Optional[bool] = None
@@ -215,8 +208,6 @@ class WorkloadResult:
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready view."""
         payload = self.workload.describe()
-        payload["backend"] = self.backend
-        payload["backend_consistent"] = self.backend_consistent
         if self.parallel_consistent is not None:
             payload["parallel_consistent"] = self.parallel_consistent
         if self.parallel_index_consistent is not None:
@@ -325,35 +316,6 @@ def _spot_validate_sampled(
                 )
 
 
-def _check_backend_consistency(
-    workload: Workload,
-    engine: ReverseKRanksEngine,
-    timed_batch: List[QueryResult],
-    timed_on_csr: bool,
-) -> bool:
-    """Assert CSR-backed results are identical to dict-backed results.
-
-    The timed dynamic batch is reused as one side of the comparison; only
-    the opposite backend is evaluated here.
-    """
-    other_batch = engine.query_many(
-        workload.queries,
-        workload.k,
-        algorithm=AlgorithmKind.DYNAMIC,
-        use_csr=not timed_on_csr,
-    )
-    dict_results = other_batch if timed_on_csr else timed_batch
-    csr_results = timed_batch if timed_on_csr else other_batch
-    for expected, actual in zip(dict_results, csr_results):
-        if expected.as_pairs() != actual.as_pairs():
-            raise CrossValidationError(
-                f"CompactGraph backend diverges from the dict backend on "
-                f"workload {workload.name!r} for query={expected.query!r}: "
-                f"dict={expected.as_pairs()!r} vs csr={actual.as_pairs()!r}"
-            )
-    return True
-
-
 def _normalise_workers(workers) -> List[int]:
     """Normalise the ``workers`` axis to an ordered, deduplicated int list."""
     if isinstance(workers, bool):
@@ -409,9 +371,7 @@ def run_workload(
     workload: Workload,
     repetitions: int = 3,
     warmup: int = 1,
-    use_csr: bool = True,
     validate: bool = True,
-    check_backend: bool = True,
     num_hubs: Optional[int] = None,
     index_cache: Optional[object] = None,
     workers=1,
@@ -432,16 +392,12 @@ def run_workload(
     warmup:
         Untimed warmup batches per algorithm (also pre-warms the hub index,
         so indexed timings measure the warm steady state the paper reports).
-    use_csr:
-        Whether queries run on the CSR backend (bichromatic included).
     validate:
         Cross-validate every algorithm's results against naive in-run; on
         sampled (large-scale) workloads this becomes the spot-check and
         pairwise validation described in the module docstring.  Parallel
         passes are *additionally* checked rank-identical against a
         sequential reference batch regardless of this flag.
-    check_backend:
-        Additionally assert CSR results == dict results.
     num_hubs:
         Hub count for the indexed algorithm; overrides the workload's
         ``index_params``, defaults to ``max(1, |V| // 8)``.
@@ -492,26 +448,20 @@ def run_workload(
         pass the overlay-path answers are validated bit-identically
         against a from-scratch recompile of the final mutated graph —
         the report's ``mutation_consistent`` flag.  Monochromatic
-        workloads only (``apply_updates`` rejects bichromatic engines);
-        requires the CSR backend.
+        workloads only (``apply_updates`` rejects bichromatic engines).
 
     Raises
     ------
     CrossValidationError
         When any algorithm disagrees with the (possibly sampled) naive
-        baseline, the CSR backend disagrees with the dict backend, or a
-        parallel batch is not rank-identical to its sequential reference.
+        baseline, or a parallel batch is not rank-identical to its
+        sequential reference.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if mutation_rate < 0:
         raise WorkloadError(
             f"mutation_rate must be >= 0, got {mutation_rate!r}"
-        )
-    if mutation_rate and not use_csr:
-        raise WorkloadError(
-            "the mutation pass benchmarks the CSR delta-overlay; drop "
-            "--no-csr or run with mutation_rate=0"
         )
     check_stats_mode(stats_mode)
     if trace_dir is not None:
@@ -523,16 +473,8 @@ def run_workload(
             "sampled naive baselines are monochromatic-only for now"
         )
     workers_axis = _normalise_workers(workers)
-    if not use_csr and any(value > 1 for value in workers_axis):
-        raise WorkloadError(
-            "parallel passes require the CSR backend; drop --no-csr or "
-            "run with workers=1"
-        )
     graph = workload.graph
-    result = WorkloadResult(
-        workload=workload,
-        backend="csr" if use_csr else "dict",
-    )
+    result = WorkloadResult(workload=workload)
     baseline: Optional[List[QueryResult]] = None
     reference: Optional[List[QueryResult]] = None
     reference_label = ""
@@ -547,7 +489,7 @@ def run_workload(
     engine = ReverseKRanksEngine(graph, partition=workload.partition)
     if trace:
         engine.tracer.enabled = True
-    search_graph = engine.compact_graph() if use_csr else graph
+    search_graph = engine.compact_graph()
     if workload.naive_sample is not None:
         sample = _sample_candidates(workload)
 
@@ -587,11 +529,11 @@ def run_workload(
                 if kind is AlgorithmKind.INDEXED and engine.index is None:
                     _prepare_index(
                         workload, engine, timing, num_hubs, index_cache,
-                        use_csr, result=result, workers_axis=workers_axis,
+                        result=result, workers_axis=workers_axis,
                         worker_context=worker_context,
                     )
 
-                run_kwargs = dict(use_csr=use_csr)
+                run_kwargs = {}
                 if num_workers > 1:
                     # Pool startup (spawn can take seconds) happens here,
                     # outside warmup and the timed repetitions.
@@ -619,7 +561,7 @@ def run_workload(
                     timing.repetitions.append(time.perf_counter() - started)
 
                 if trace and engine.last_trace is not None:
-                    # Capture now: the consistency/backend checks below
+                    # Capture now: the consistency checks below
                     # run more (untimed) batches that would overwrite the
                     # engine's last trace.
                     last_trace = engine.last_trace
@@ -698,8 +640,7 @@ def run_workload(
                         # Parallel-only run (e.g. ``--workers 2``): build
                         # the sequential reference untimed.
                         serial = engine.query_many(
-                            workload.queries, workload.k, algorithm=kind,
-                            use_csr=use_csr,
+                            workload.queries, workload.k, algorithm=kind
                         )
                         serial_batches[kind] = serial
                     _check_parallel_consistency(
@@ -717,15 +658,6 @@ def run_workload(
                         timing.speedup_vs_serial = (
                             serial_timing.mean_seconds / timing.mean_seconds
                         )
-
-                if (
-                    check_backend
-                    and kind is AlgorithmKind.DYNAMIC
-                    and base_pass
-                ):
-                    result.backend_consistent = _check_backend_consistency(
-                        workload, engine, batch, timed_on_csr=use_csr
-                    )
     finally:
         engine.close_pool()
 
@@ -759,15 +691,11 @@ def _prepare_index(
     timing: AlgorithmTiming,
     num_hubs: Optional[int],
     index_cache: Optional[object],
-    use_csr: bool = True,
     result: Optional[WorkloadResult] = None,
     workers_axis: Optional[List[int]] = None,
     worker_context: Optional[str] = None,
 ) -> None:
     """Build — or load from ``index_cache`` — the engine's hub index.
-
-    ``use_csr`` is threaded into the build so a ``--no-csr`` run measures
-    the dict backend's index construction too, not a hidden CSR one.
 
     When the run has a parallel pass (``workers_axis`` contains a value
     above 1) and the index is actually *built* (not a cache hit), a twin
@@ -808,7 +736,7 @@ def _prepare_index(
             timing.index_cache = "hit"
             timing.index_build_seconds = time.perf_counter() - started
             return
-    index = engine.build_index(capacity=capacity, use_csr=use_csr, **build_kwargs)
+    index = engine.build_index(capacity=capacity, **build_kwargs)
     timing.index_build_seconds = time.perf_counter() - started
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
@@ -818,12 +746,11 @@ def _prepare_index(
     parallel_workers = max(
         (value for value in (workers_axis or []) if value > 1), default=None
     )
-    if parallel_workers is not None and use_csr and result is not None:
+    if parallel_workers is not None and result is not None:
         twin = ReverseKRanksEngine(workload.graph)
         try:
             parallel_index = twin.build_index(
                 capacity=capacity,
-                use_csr=True,
                 workers=parallel_workers,
                 worker_context=worker_context,
                 **build_kwargs,
@@ -950,7 +877,7 @@ def _run_mutation_pass(
 
     engine = ReverseKRanksEngine(graph)
     try:
-        engine.build_index(capacity=capacity, use_csr=True, **build_kwargs)
+        engine.build_index(capacity=capacity, **build_kwargs)
         hubs = engine.index.hubs
         pids_before = None
         if parallel_workers is not None:
@@ -972,7 +899,7 @@ def _run_mutation_pass(
                 timing = AlgorithmTiming(algorithm=key, workers=num_workers)
                 result.algorithms[key] = timing
                 mutation_rows.append(timing)
-                run_kwargs = dict(use_csr=True)
+                run_kwargs = {}
                 if num_workers > 1:
                     run_kwargs.update(
                         workers=num_workers, worker_context=worker_context
@@ -1135,9 +1062,7 @@ def run_suite(
     workloads: List[Workload],
     repetitions: int = 3,
     warmup: int = 1,
-    use_csr: bool = True,
     validate: bool = True,
-    check_backend: bool = True,
     index_cache: Optional[object] = None,
     workers=1,
     worker_context: Optional[str] = None,
@@ -1165,9 +1090,7 @@ def run_suite(
                 workload,
                 repetitions=repetitions,
                 warmup=warmup,
-                use_csr=use_csr,
                 validate=validate,
-                check_backend=check_backend,
                 index_cache=index_cache,
                 workers=workers,
                 worker_context=worker_context,

@@ -8,13 +8,13 @@ The JSON schema (``schema_version`` 1)::
       "created_at": "2026-07-30T12:00:00Z",       # UTC, ISO-8601
       "environment": {"python": "...", "platform": "..."},
       "config": {"scale": "smoke", "repetitions": 1, "warmup": 0,
-                 "seed": 0, "use_csr": true, "families": [...]},
+                 "seed": 0, "families": [...]},
       "workloads": [
         {
           "name": "gnp-n120", "family": "gnp",
           "num_nodes": 120, "num_edges": 362, "directed": false,
           "bichromatic": false, "num_queries": 4, "k": 8, "seed": 0,
-          "params": {...}, "backend": "csr", "backend_consistent": true,
+          "params": {...},
           "algorithms": {
             "naive":   {"mean_seconds": ..., "best_seconds": ...,
                         "per_query_seconds": ..., "repetitions_seconds": [...],
@@ -28,9 +28,11 @@ The JSON schema (``schema_version`` 1)::
     }
 
 ``validated`` is ``true`` only when the algorithm's batch results were
-checked against the naive baseline during the run, and
-``backend_consistent`` only when the CSR backend reproduced the dict
-backend's results exactly (bichromatic workloads included).
+checked against the naive baseline during the run.  Reports written
+while a second (dict-keyed) backend existed also carry a config flag
+selecting it, a per-workload ``backend`` label and a CSR-vs-dict
+agreement flag; :mod:`repro.bench.diff` reads none of them, so such
+reports still diff cleanly against fresh ones.
 
 Large-scale workloads add ``naive_sample`` / ``index_params`` to the
 workload metadata; their naive timing carries ``sampled_candidates`` and

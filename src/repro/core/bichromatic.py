@@ -16,7 +16,7 @@ from typing import Hashable, Optional
 from repro.core.config import BoundSet
 from repro.core.framework import SDSTreeSearch
 from repro.core.naive import naive_reverse_k_ranks
-from repro.graph.csr import ensure_backend_fresh
+from repro.graph.csr import compile_search_graph
 from repro.core.types import QueryResult
 from repro.graph.partition import BichromaticPartition
 
@@ -36,12 +36,13 @@ def bichromatic_naive_reverse_k_ranks(
     identifiers, which both backends yield).
     """
     partition.validate_query_node(query)
+    graph = partition.graph
     if backend is not None:
         # Same freshness bar as the SDS entry points: a stale compilation
         # must never silently supply the ground-truth baseline.
-        ensure_backend_fresh(partition.graph, backend)
+        graph = compile_search_graph(graph, backend)
     return naive_reverse_k_ranks(
-        partition.graph if backend is None else backend,
+        graph,
         query,
         k,
         candidate=partition.is_candidate,
@@ -70,10 +71,11 @@ def bichromatic_reverse_k_ranks(
         static variant.
     backend:
         Optional fresh :class:`~repro.graph.csr.CompactGraph` compilation of
-        the partition's graph for the CSR fast path.
+        the partition's graph; when omitted, the graph is compiled for this
+        call.
     masks:
         Optional pre-built ``(candidate_mask, counted_mask)`` bytearrays
-        over the compact backend's node order — the engine's per-version
+        over the compilation's node order — the engine's per-version
         cache of the partition predicates (see
         :class:`~repro.core.framework.SDSTreeSearch`).  They must encode
         this partition's :meth:`~BichromaticPartition.is_candidate` /

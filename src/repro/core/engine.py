@@ -5,14 +5,13 @@ optional hub index) and answers reverse k-ranks queries with any of the four
 algorithms, keyed by :class:`~repro.core.config.AlgorithmKind`.  This is the
 entry point the benchmark harness and the README quickstart use.
 
-Beyond single-query dispatch the engine provides the batch front door
-:meth:`ReverseKRanksEngine.query_many`, which amortises per-query setup
-across a whole workload: the graph is compiled once into a
-:class:`~repro.graph.csr.CompactGraph` CSR backend (cached across batches
-and invalidated by the graph's mutation :attr:`~repro.graph.Graph.version`),
-the hub index stays warm and keeps learning across the batch, and repeated
-``(query, k, algorithm, bounds)`` requests can be served from an LRU result
-cache.
+Single queries and the batch front door
+:meth:`ReverseKRanksEngine.query_many` both run on one
+:class:`~repro.graph.csr.CompactGraph` compilation of the graph (cached
+across calls and keyed by the graph's mutation
+:attr:`~repro.graph.Graph.version`).  Within a batch the hub index stays
+warm and keeps learning, and repeated ``(query, k, algorithm, bounds)``
+requests can be served from an LRU result cache.
 
 Validation contract
 -------------------
@@ -405,8 +404,12 @@ class ReverseKRanksEngine:
         :meth:`apply_updates` keep the cache warm by layering an
         :class:`~repro.graph.overlay.OverlayGraph` side-table over the
         frozen base; only out-of-band mutations (or a side-table past the
-        recompaction threshold) trigger a full recompile here.
+        recompaction threshold) trigger a full recompile here.  An engine
+        whose graph already is a compilation (a worker-process engine)
+        returns that graph itself.
         """
+        if getattr(self._graph, "is_compact", False):
+            return self._graph
         version = getattr(self._graph, "version", None)
         if self._csr is None or self._csr_version != version:
             self._csr = CompactGraph.from_graph(self._graph)
@@ -426,15 +429,13 @@ class ReverseKRanksEngine:
         capacity: int = 16,
         strategy: Union[HubSelectionStrategy, str] = HubSelectionStrategy.DEGREE,
         rng: Optional[random.Random] = None,
-        use_csr: bool = True,
         workers: int = 1,
         worker_context: Optional[str] = None,
     ) -> HubIndex:
         """Build (and adopt) a hub index for the indexed algorithm.
 
-        With ``use_csr`` (the default) the hub explorations run over the
-        engine's cached CSR compilation — the index itself stays bound to
-        the dict graph and records identical ranks either way.
+        The hub explorations run over the engine's cached CSR
+        compilation; the index itself stays bound to the engine's graph.
         ``num_hubs``/``explore_limit`` accept ``"auto"`` to resolve the
         scale-aware :func:`~repro.core.hubs.hub_budget`.
 
@@ -443,10 +444,9 @@ class ReverseKRanksEngine:
         (:meth:`HubIndex.build_parallel`), each worker exploring a
         contiguous hub run on its own shared-memory mapping (or pickled
         copy) of the compilation.  The merged index is bit-identical to
-        the sequential CSR-backed build.  Requires ``use_csr=True``; the
-        pool is reused by subsequent ``query_many(workers=N)`` calls with
-        a matching key (the new index is snapshotted into the workers on
-        their next parallel batch).
+        the sequential build.  The pool is reused by subsequent
+        ``query_many(workers=N)`` calls with a matching key (the new index
+        is snapshotted into the workers on their next parallel batch).
         """
         if self._partition is not None:
             raise IndexParameterError(
@@ -457,12 +457,6 @@ class ReverseKRanksEngine:
                 f"workers must be a positive integer, got {workers!r}"
             )
         if workers > 1:
-            if not use_csr:
-                raise ParallelExecutionError(
-                    "parallel index builds run on the workers' CSR "
-                    "compilations; use_csr=False and workers > 1 are "
-                    "incompatible"
-                )
             pool = self._ensure_pool(workers, worker_context)
             try:
                 self._index = HubIndex.build_parallel(
@@ -485,7 +479,7 @@ class ReverseKRanksEngine:
             capacity=capacity,
             strategy=strategy,
             rng=rng,
-            backend=self.compact_graph() if use_csr else None,
+            backend=self.compact_graph(),
         )
         return self._index
 
@@ -832,7 +826,10 @@ class ReverseKRanksEngine:
         self._overlay_appended = []
         if self._index is not None:
             self._index.repair(
-                touched_order, conservative=True, removed_nodes=set(removed)
+                touched_order,
+                search_graph=self.compact_graph(),
+                conservative=True,
+                removed_nodes=set(removed),
             )
             self._m_index_repairs.inc()
         self.close_pool()
@@ -861,7 +858,9 @@ class ReverseKRanksEngine:
         """
         kind = AlgorithmKind(algorithm)
         self._validate_query(query, k)
-        return self._dispatch(query, k, kind, bounds, backend=None)
+        return self._dispatch(
+            query, k, kind, bounds, backend=self.compact_graph()
+        )
 
     def query_many(
         self,
@@ -869,7 +868,6 @@ class ReverseKRanksEngine:
         k: int,
         algorithm: Union[AlgorithmKind, str] = AlgorithmKind.DYNAMIC,
         bounds: Optional[BoundSet] = None,
-        use_csr: bool = True,
         cache_size: Optional[int] = None,
         workers: int = 1,
         shard_policy: str = "round_robin",
@@ -884,10 +882,8 @@ class ReverseKRanksEngine:
 
         * **one CSR compile** — every algorithm (naive, static, dynamic,
           indexed, and the bichromatic variants) runs over the cached
-          :class:`~repro.graph.csr.CompactGraph` backend (compiled at most
-          once per graph version) instead of the dict-of-dict graph; the
-          SDS-tree and refinement loops take the array-specialised fast
-          path of :mod:`repro.traversal.csr_sds`;
+          :class:`~repro.graph.csr.CompactGraph` compilation (compiled at
+          most once per graph version, shared with :meth:`query`);
         * **warm hub-index reuse** — indexed queries share the engine's hub
           index, which keeps learning ranks across the batch (Algorithm 4),
           so later queries get progressively cheaper;
@@ -902,10 +898,6 @@ class ReverseKRanksEngine:
             front, so a bad query fails the batch before any work is done.
         k, algorithm, bounds:
             As in :meth:`query`, shared by the whole batch.
-        use_csr:
-            Whether to run the batch over the CSR backend.  Results are
-            identical either way; disabling is mostly useful for
-            benchmarking the backends against each other.
         cache_size:
             Capacity of the per-batch LRU result cache; ``None``/``0``
             disables caching.  Cache hits return the same
@@ -929,8 +921,8 @@ class ReverseKRanksEngine:
             (:meth:`~repro.core.hub_index.HubIndex.merge_delta`).  The
             pool persists across batches and is invalidated by graph
             mutations; see :meth:`prepare_parallel` / :meth:`close_pool`.
-            Requires ``use_csr=True``.  Single-query batches fall back to
-            sequential execution (nothing to shard).
+            Single-query batches fall back to sequential execution
+            (nothing to shard).
         shard_policy:
             Parallel mode only: ``"round_robin"`` (default), ``"cost"``
             (degree/hub-proximity-estimated balancing) or ``"affinity"``
@@ -1019,12 +1011,6 @@ class ReverseKRanksEngine:
         with root:
             path = "sequential"
             if workers > 1:
-                if not use_csr:
-                    raise ParallelExecutionError(
-                        "parallel execution ships the CSR compilation to the "
-                        "workers; use_csr=False and workers > 1 are "
-                        "incompatible"
-                    )
                 # The result cache, parallel-side: repeated queries are
                 # deduplicated *before* shard planning (k/algorithm/bounds
                 # are batch constants, so the cache key degenerates to the
@@ -1089,7 +1075,7 @@ class ReverseKRanksEngine:
                 # path, whose LRU serves the duplicates.
 
             results = self._query_many_sequential(
-                batch, k, kind, bounds, use_csr, cache_size, stats
+                batch, k, kind, bounds, cache_size, stats
             )
             if path == "sequential":
                 self._m_batches_sequential.inc()
@@ -1102,7 +1088,6 @@ class ReverseKRanksEngine:
         k: int,
         kind: AlgorithmKind,
         bounds: Optional[BoundSet],
-        use_csr: bool,
         cache_size: Optional[int],
         stats: str,
     ) -> List[QueryResult]:
@@ -1112,9 +1097,7 @@ class ReverseKRanksEngine:
         *exactly* this code — the fallback cannot drift from what
         ``workers=1`` would have answered.
         """
-        backend: Optional[CompactGraph] = (
-            self.compact_graph() if use_csr else None
-        )
+        backend = self.compact_graph()
 
         cache: Optional[OrderedDict] = (
             OrderedDict() if cache_size and cache_size > 0 else None
@@ -1461,44 +1444,35 @@ class ReverseKRanksEngine:
         k: int,
         kind: AlgorithmKind,
         bounds: Optional[BoundSet],
-        backend: Optional[CompactGraph],
+        backend: CompactGraph,
     ) -> QueryResult:
         if self._partition is not None:
             return self._bichromatic_query(query, k, kind, bounds, backend)
 
-        graph = backend if backend is not None else self._graph
         if kind is AlgorithmKind.NAIVE:
-            return naive_reverse_k_ranks(graph, query, k)
+            return naive_reverse_k_ranks(backend, query, k)
         if kind is AlgorithmKind.STATIC:
-            return static_reverse_k_ranks(graph, query, k, arena=self._arena)
+            return static_reverse_k_ranks(backend, query, k, arena=self._arena)
         if kind is AlgorithmKind.DYNAMIC:
             return dynamic_reverse_k_ranks(
-                graph, query, k, bounds=bounds, arena=self._arena
+                backend, query, k, bounds=bounds, arena=self._arena
             )
         self._require_monochromatic_index()
-        # The hub index stores node-id ranks for the dict-backed graph it
-        # was built on; indexed queries keep that graph as the source of
-        # truth and hand the CSR compilation along as the traversal backend.
+        # The hub index stores node-id ranks for the graph it was built
+        # on; indexed queries keep that graph as the source of truth and
+        # hand the CSR compilation along as the traversal backend.
         return indexed_reverse_k_ranks(
             self._graph, query, k, index=self._index, bounds=bounds,
             backend=backend, arena=self._arena,
         )
 
-    def _partition_masks(self, backend: Optional[CompactGraph]):
-        """Candidate/counted masks over the compact node order, or ``None``.
+    def _partition_masks(self, compact: CompactGraph):
+        """Candidate/counted masks over the compact node order.
 
         Evaluating the partition predicates over every node costs O(n)
-        per query on the CSR fast path; the engine pays it once per graph
-        version instead (keyed like the CSR compilation cache).  Returns
-        ``None`` when no compact view is in play (the generic loops
-        evaluate predicates lazily, only on visited nodes).
+        per query; the engine pays it once per graph version instead
+        (keyed like the CSR compilation cache).
         """
-        compact = backend
-        if compact is None and getattr(self._graph, "is_compact", False):
-            # Worker-process engines hold the compilation *as* their graph.
-            compact = self._graph
-        if compact is None:
-            return None
         version = getattr(compact, "source_version", None)
         if self._masks is None or self._masks_version != version:
             partition = self._partition
@@ -1516,7 +1490,7 @@ class ReverseKRanksEngine:
         k: int,
         kind: AlgorithmKind,
         bounds: Optional[BoundSet],
-        backend: Optional[CompactGraph] = None,
+        backend: CompactGraph,
     ) -> QueryResult:
         if kind is AlgorithmKind.INDEXED:
             raise IndexParameterError(_INDEXED_IS_MONOCHROMATIC)

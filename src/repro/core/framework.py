@@ -9,26 +9,24 @@ share the same skeleton:
    distance ``d(p, q)``;
 2. for each settled node decide, using ever-tighter information, whether its
    rank must be refined;
-3. refine with :func:`~repro.core.refinement.refine_rank`, bounded by the
-   current ``kRank``;
+3. refine with the bounded ``GetRank`` search (paper Algorithm 2), aborting
+   once the partial rank exceeds the current ``kRank``;
 4. expand a node's tree children only when the node can still be (or is) a
    result — Theorem 1 guarantees that the children of a non-result cannot be
    results either.
 
-:class:`SDSTreeSearch` implements that skeleton once, parameterised by a
-:class:`~repro.core.config.BoundSet` (none = static, any = dynamic), an
-optional :class:`~repro.core.hub_index.HubIndex`, and optional bichromatic
-predicates.  The public algorithm modules are thin wrappers that pick the
-right configuration.
-
-When the traversed graph is a :class:`~repro.graph.csr.CompactGraph` (or a
-compact ``backend`` compilation of the graph is supplied), :meth:`run`
-dispatches the whole pipeline — tree expansion, bound checks and bounded
-refinements — to the array-specialised
-:class:`~repro.traversal.csr_sds.CompactSDSTreeSearch`, which produces
-bit-identical results and :class:`~repro.core.types.QueryStats` counters
-(the parity suite asserts this).  The generic loops below remain the
-readable reference implementation and serve arbitrary duck-typed graphs.
+:class:`SDSTreeSearch` is the one entry point for that skeleton,
+parameterised by a :class:`~repro.core.config.BoundSet` (none = static,
+any = dynamic), an optional :class:`~repro.core.hub_index.HubIndex`, and
+optional bichromatic predicates.  It validates the query, checks the index,
+seeds the result set from the Reverse Rank Dictionary and assembles the
+:class:`~repro.core.types.QueryResult`; the traversal, bound checks and
+bounded refinements themselves run in
+:class:`~repro.traversal.csr_sds.CompactSDSTreeSearch` over a
+:class:`~repro.graph.csr.CompactGraph` (or overlay) compilation.  Callers
+that answer many queries pass that compilation in (``backend``, or a
+compact ``graph``); otherwise the graph is compiled once per search.  The
+public algorithm modules are thin wrappers that pick the configuration.
 
 Correctness under pruning
 -------------------------
@@ -50,16 +48,14 @@ DESIGN.md §5 and :func:`repro.core.validation.results_equivalent`.)
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Hashable, Optional
 
 from repro.core.config import BoundSet
-from repro.core.refinement import refine_rank
 from repro.core.resultset import TopKRankCollector
 from repro.core.types import QueryResult, QueryStats
 from repro.errors import InvalidQueryNodeError, check_positive_k
-from repro.graph.csr import ensure_backend_fresh
-from repro.graph.views import transpose_view
-from repro.traversal.heap import AddressableHeap
+from repro.graph.csr import compile_search_graph
+from repro.traversal.csr_sds import CompactSDSTreeSearch
 
 NodeId = Hashable
 Predicate = Callable[[NodeId], bool]
@@ -73,7 +69,8 @@ class SDSTreeSearch:
     Parameters
     ----------
     graph:
-        The graph to query (a :class:`~repro.graph.Graph`).
+        The graph to query: a :class:`~repro.graph.Graph`, or a
+        :class:`~repro.graph.csr.CompactGraph` compilation traversed as is.
     query:
         The query node ``q``.
     k:
@@ -98,25 +95,23 @@ class SDSTreeSearch:
         Name recorded in the produced :class:`~repro.core.types.QueryResult`.
     backend:
         Optional :class:`~repro.graph.csr.CompactGraph` compilation of
-        ``graph``.  When given (or when ``graph`` itself is compact), the
-        traversal runs on the CSR fast path; results are identical either
-        way.  The compilation must be fresh — a version mismatch with
-        ``graph`` is rejected.
+        ``graph`` to traverse.  The compilation must be fresh — a version
+        mismatch with ``graph`` is rejected.  When omitted (and ``graph``
+        is not itself compact), ``graph`` is compiled for this search.
     masks:
         Optional pre-built ``(candidate_mask, counted_mask)`` bytearrays
-        over the compact backend's node order (either element may be
+        over the compilation's node order (either element may be
         ``None``).  Engines answering many queries against one compilation
-        cache these per graph version so the CSR fast path does not
-        re-evaluate the predicates over every node on every query; the
-        masks must encode exactly the ``candidate`` / ``counted``
-        predicates.  Ignored by the generic (dict-backed) loops.
+        cache these per graph version so the predicates are not
+        re-evaluated over every node on every query; the masks must encode
+        exactly the ``candidate`` / ``counted`` predicates.
     arena:
         Optional :class:`~repro.traversal.arena.ScratchArena` supplying
         reusable, epoch-stamped scratch memory (frontier heaps, settled
-        sets, the dense bound lists) for both the CSR and the generic
-        loops.  Engines own one and thread it through every query;
-        results and :class:`~repro.core.types.QueryStats` are identical
-        with or without it.
+        sets, the dense bound lists).  Engines own one and thread it
+        through every query; results and
+        :class:`~repro.core.types.QueryStats` are identical with or
+        without it.
     """
 
     def __init__(
@@ -136,14 +131,9 @@ class SDSTreeSearch:
         check_positive_k(k)
         if not graph.has_node(query):
             raise InvalidQueryNodeError(query)
-        if backend is not None:
-            ensure_backend_fresh(graph, backend)
 
-        self._graph = graph
-        self._backend = backend
-        self._reverse = transpose_view(graph)
+        self._csr = compile_search_graph(graph, backend)
         self._query = query
-        self._k = k
         self._bounds = bounds if bounds is not None else BoundSet.all()
         self._index = index
         self._candidate = candidate
@@ -168,13 +158,6 @@ class SDSTreeSearch:
         self.stats = QueryStats()
         self._collector = TopKRankCollector(k)
 
-        # Per-node traversal state.
-        self._settled: set = set()
-        self._parent: Dict[NodeId, Optional[NodeId]] = {query: None}
-        self._height_bound: Dict[NodeId, int] = {query: 1}
-        self._parent_bound: Dict[NodeId, float] = {query: 0.0}
-        self._lcount: Dict[NodeId, int] = {}
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -182,39 +165,25 @@ class SDSTreeSearch:
         """Evaluate the query and return the result."""
         started = time.perf_counter()
         self._seed_from_index()
-        csr = self._compact_backend()
-        if csr is not None:
-            # Imported lazily: traversal sits below core in the layering,
-            # but the CSR specialisation needs no core imports at all.
-            from repro.traversal.csr_sds import CompactSDSTreeSearch
-
-            CompactSDSTreeSearch(
-                csr,
-                self._query,
-                collector=self._collector,
-                stats=self.stats,
-                index=self._index,
-                use_parent=self._bounds.use_parent,
-                height_active=self._height_bound_active,
-                count_active=self._count_bound_active,
-                candidate=self._candidate,
-                counted=self._counted,
-                candidate_mask=self._masks[0],
-                counted_mask=self._masks[1],
-                arena=self._arena,
-            ).traverse()
-        else:
-            self._traverse()
+        CompactSDSTreeSearch(
+            self._csr,
+            self._query,
+            collector=self._collector,
+            stats=self.stats,
+            index=self._index,
+            use_parent=self._bounds.use_parent,
+            height_active=self._height_bound_active,
+            count_active=self._count_bound_active,
+            candidate=self._candidate,
+            counted=self._counted,
+            candidate_mask=self._masks[0],
+            counted_mask=self._masks[1],
+            arena=self._arena,
+        ).traverse()
         self.stats.elapsed_seconds = time.perf_counter() - started
         return self._collector.as_result(
             self._query, stats=self.stats, algorithm=self._label
         )
-
-    def _compact_backend(self):
-        """The CSR view to traverse, or ``None`` for the generic loops."""
-        if getattr(self._graph, "is_compact", False):
-            return self._graph
-        return self._backend
 
     # ------------------------------------------------------------------
     # Seeding from the hub index
@@ -222,216 +191,7 @@ class SDSTreeSearch:
     def _seed_from_index(self) -> None:
         if self._index is None:
             return
+        candidate = self._candidate
         for node, rank in self._index.known_reverse_ranks(self._query):
-            if self._is_candidate(node):
+            if node != self._query and (candidate is None or candidate(node)):
                 self._collector.offer(node, rank)
-
-    # ------------------------------------------------------------------
-    # SDS-tree traversal (Dijkstra towards q on the transpose graph)
-    # ------------------------------------------------------------------
-    def _traverse(self) -> None:
-        if self._arena is not None:
-            heap = self._arena.acquire_generic_tree_heap()
-        else:
-            heap = AddressableHeap()
-        heap.push(self._query, 0.0)
-
-        while heap:
-            node, distance = heap.pop()
-            self._settled.add(node)
-            self.stats.tree_pops += 1
-
-            if node == self._query:
-                self._expand(heap, node, distance, child_parent_bound=0.0)
-                continue
-
-            expand_bound = self._process_candidate(node, distance)
-            if expand_bound is not None:
-                self._expand(heap, node, distance, child_parent_bound=expand_bound)
-
-    def _expand(
-        self,
-        heap: AddressableHeap,
-        node: NodeId,
-        distance: float,
-        child_parent_bound: float,
-    ) -> None:
-        """Relax the SDS-tree children of ``node`` (in-neighbours of ``node``)."""
-        child_height = self._child_height_bound(node)
-        for neighbor, weight in self._reverse.neighbor_items(node):
-            if neighbor in self._settled:
-                continue
-            candidate_distance = distance + weight
-            current = heap.get_priority(neighbor)
-            if current is None:
-                heap.push(neighbor, candidate_distance)
-                self.stats.tree_pushes += 1
-                self._set_child_state(neighbor, node, child_height, child_parent_bound)
-            elif candidate_distance < current:
-                heap.decrease_key(neighbor, candidate_distance)
-                self.stats.tree_pushes += 1
-                self._set_child_state(neighbor, node, child_height, child_parent_bound)
-
-    def _set_child_state(
-        self,
-        child: NodeId,
-        parent: NodeId,
-        child_height: int,
-        child_parent_bound: float,
-    ) -> None:
-        self._parent[child] = parent
-        self._height_bound[child] = child_height
-        self._parent_bound[child] = child_parent_bound
-
-    def _child_height_bound(self, node: NodeId) -> int:
-        """Height (counted-ancestors) bound inherited by children of ``node``."""
-        if node == self._query:
-            return 1
-        base = self._height_bound.get(node, 1)
-        contributes = self._counted is None or self._counted(node)
-        return base + (1 if contributes else 0)
-
-    # ------------------------------------------------------------------
-    # Candidate processing
-    # ------------------------------------------------------------------
-    def _process_candidate(
-        self, node: NodeId, distance: float
-    ) -> Optional[float]:
-        """Decide what to do with a settled node.
-
-        Returns the parent-rank bound its children should inherit when the
-        node's subtree must be expanded, or ``None`` when the subtree is
-        pruned.
-        """
-        is_candidate = self._is_candidate(node)
-        k_rank = self._collector.k_rank
-
-        # 1. The index may already know this node's exact rank w.r.t. q.
-        if is_candidate and self._index is not None:
-            known = self._index.known_rank(node, self._query)
-            if known is not None:
-                self.stats.answered_by_index += 1
-                self._collector.offer(node, known)
-                if known <= self._collector.k_rank:
-                    return float(known)
-                return None
-
-        # 2. Lower-bound check (Theorem 2 + Check Dictionary).
-        lower_bound, winner = self._lower_bound(node)
-        if winner is not None:
-            self.stats.record_bound_win(winner)
-
-        if not is_candidate:
-            # Non-candidates (bichromatic facility nodes) are never refined;
-            # their subtree is expanded unless the inherited bound already
-            # rules the whole subtree out.
-            if lower_bound >= k_rank:
-                self.stats.pruned_by_bound += 1
-                return None
-            return max(self._parent_bound.get(node, 0.0), lower_bound)
-
-        if lower_bound >= k_rank:
-            if winner == "index":
-                self.stats.pruned_by_check_dictionary += 1
-            else:
-                self.stats.pruned_by_bound += 1
-            return None
-
-        # 3. Rank refinement.
-        rank = self._refine(node, distance, k_rank)
-        if rank is None:
-            return None
-        self._collector.offer(node, rank)
-        return float(rank)
-
-    def _is_candidate(self, node: NodeId) -> bool:
-        if node == self._query:
-            return False
-        if self._candidate is None:
-            return True
-        return self._candidate(node)
-
-    def _lower_bound(self, node: NodeId) -> Tuple[float, Optional[str]]:
-        """Theorem-2 lower bound (plus the Check Dictionary component)."""
-        components: Dict[str, float] = {}
-        if self._bounds.use_parent:
-            components["parent"] = self._parent_bound.get(node, 0.0)
-        if self._height_bound_active:
-            components["height"] = float(self._height_bound.get(node, 1))
-        if self._count_bound_active:
-            components["count"] = float(self._lcount.get(node, 0))
-        if self._index is not None:
-            check_value = self._index.check_value(node)
-            if check_value is not None:
-                components["index"] = float(check_value)
-
-        if not components:
-            return 0.0, None
-
-        best_value = max(components.values())
-        # Deterministic winner attribution: parent > height > count > index,
-        # matching how the paper reports Table 11.
-        for name in ("parent", "height", "count", "index"):
-            if name in components and components[name] == best_value:
-                return best_value, name
-        return best_value, None  # pragma: no cover - unreachable
-
-    # ------------------------------------------------------------------
-    # Refinement wiring
-    # ------------------------------------------------------------------
-    def _refine(self, node: NodeId, distance: float, k_rank: float) -> Optional[int]:
-        """Run the bounded rank refinement for ``node``; ``None`` when pruned."""
-        self.stats.rank_refinements += 1
-
-        on_push = self._make_push_hook()
-        on_settle = self._make_settle_hook(node)
-
-        outcome = refine_rank(
-            self._graph,
-            node,
-            self._query,
-            radius=distance,
-            k_rank=k_rank,
-            counted=self._counted,
-            on_push=on_push,
-            on_settle=on_settle,
-            arena=self._arena,
-        )
-        self.stats.refinement_nodes_settled += outcome.settled
-
-        if self._index is not None:
-            self._index.record_exploration(node, outcome.settled)
-
-        if outcome.pruned:
-            self.stats.refinements_pruned += 1
-            return None
-        return outcome.rank
-
-    def _make_push_hook(self) -> Optional[Callable[[NodeId], None]]:
-        # Lemma-3 validity of lcount survives inflated radii: lcount[w] is
-        # only read when w pops after the refined node p, so by heap
-        # monotonicity d(p, w) < radius <= popped(w).  When w's pop is exact
-        # (popped(w) = d(q, w)) every recorded visit therefore comes from a
-        # node strictly closer to w than q — a true rank witness — and when
-        # w's pop is inflated, w descends from a pruned node and its true
-        # rank already reaches the kRank in force (see the module docstring).
-        if not self._count_bound_active:
-            return None
-        lcount = self._lcount
-
-        def on_push(visited: NodeId) -> None:
-            lcount[visited] = lcount.get(visited, 0) + 1
-
-        return on_push
-
-    def _make_settle_hook(
-        self, source: NodeId
-    ) -> Optional[Callable[[NodeId, int], None]]:
-        if self._index is None:
-            return None
-        index = self._index
-
-        def on_settle(target: NodeId, rank: int) -> None:
-            index.record_rank(source, target, rank)
-
-        return on_settle

@@ -43,8 +43,8 @@ from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.core.hubs import HubSelectionStrategy, hub_budget, select_hubs
 from repro.errors import IndexCapacityError, IndexParameterError, NodeNotFoundError
-from repro.graph.csr import ensure_backend_fresh
-from repro.traversal.rank import rank_stream
+from repro.graph.csr import compile_search_graph, ensure_backend_fresh
+from repro.traversal.csr_ops import compact_rank_stream
 
 #: On-disk serialisation format marker and version (see :meth:`HubIndex.save`).
 _IO_FORMAT = "repro-hubindex"
@@ -221,12 +221,10 @@ class HubIndex:
         rng:
             Random generator forwarded to hub selection.
         backend:
-            Optional :class:`~repro.graph.csr.CompactGraph` compilation of
-            ``graph``: hub explorations then run on the CSR fast path.  The
-            index stays bound (and version-pinned) to ``graph``; recorded
-            ranks are identical either way, though under an
-            ``explore_limit`` the identity of nodes inside the boundary tie
-            group may differ between backends.
+            Optional fresh :class:`~repro.graph.csr.CompactGraph`
+            compilation of ``graph`` for the hub explorations; when
+            omitted, ``graph`` is compiled once for this build.  The index
+            stays bound (and version-pinned) to ``graph``.
         """
         num_hubs, explore_limit = cls._resolve_budget(
             graph, num_hubs, explore_limit
@@ -242,12 +240,12 @@ class HubIndex:
             raise IndexParameterError(
                 f"explore_limit M must be a positive integer, got {explore_limit!r}"
             )
-        if backend is not None:
-            # Same freshness bar as the SDS entry points: ranks recorded
-            # from a stale or foreign compilation would be pinned to the
-            # *current* graph version and served as exact answers forever.
-            ensure_backend_fresh(graph, backend, exc_type=IndexParameterError)
-        search_graph = graph if backend is None else backend
+        # Same freshness bar as the SDS entry points: ranks recorded from a
+        # stale or foreign compilation would be pinned to the *current*
+        # graph version and served as exact answers forever.
+        search_graph = compile_search_graph(
+            graph, backend, exc_type=IndexParameterError
+        )
         for hub in index._hubs:
             index._explore_hub(hub, limit, search_graph)
         return index
@@ -314,12 +312,10 @@ class HubIndex:
             index.merge_delta(delta)
         return index
 
-    def _explore_hub(self, hub: NodeId, limit: int, search_graph=None) -> None:
+    def _explore_hub(self, hub: NodeId, limit: int, search_graph) -> None:
         """Settle up to ``limit`` nodes around ``hub``, recording their ranks."""
         settled = 0
-        for node, _, rank in rank_stream(
-            self._graph if search_graph is None else search_graph, hub
-        ):
+        for node, _, rank in compact_rank_stream(search_graph, hub):
             self.record_rank(hub, node, int(rank))
             settled += 1
             if settled >= limit:
@@ -749,7 +745,9 @@ class HubIndex:
         search_graph:
             Optional fresh :class:`~repro.graph.csr.CompactGraph` /
             overlay compilation to run the re-explorations on (validated
-            via :func:`~repro.graph.csr.ensure_backend_fresh`).
+            via :func:`~repro.graph.csr.ensure_backend_fresh`).  When
+            omitted and a hub needs re-exploring, the graph is compiled
+            once for this repair.
         conservative:
             Treat *all* sources as affected (required when a zero-weight
             edge was removed or its weight raised).
@@ -833,13 +831,15 @@ class HubIndex:
             if self._explore_limit is None
             else self._explore_limit
         )
+        stale_hubs = [hub for hub in self._hubs if hub in seen]
+        if stale_hubs:
+            search_graph = compile_search_graph(self._graph, search_graph)
         # Route the re-explorations through the delta so replicas receive
         # exactly what the master re-learned.
         self._learning_log = delta
         try:
-            for hub in self._hubs:
-                if hub in seen:
-                    self._explore_hub(hub, limit, search_graph)
+            for hub in stale_hubs:
+                self._explore_hub(hub, limit, search_graph)
         finally:
             self._learning_log = None
         return delta

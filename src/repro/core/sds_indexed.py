@@ -17,6 +17,7 @@ from repro.core.framework import SDSTreeSearch
 from repro.core.hub_index import HubIndex
 from repro.core.hubs import HubSelectionStrategy
 from repro.core.types import QueryResult
+from repro.graph.csr import compile_search_graph
 
 NodeId = Hashable
 
@@ -52,14 +53,15 @@ def indexed_reverse_k_ranks(
         Theorem-2 bound components; defaults to :meth:`BoundSet.all`.
     backend:
         Optional fresh :class:`~repro.graph.csr.CompactGraph` compilation
-        of ``graph``.  The index stays keyed by node identifiers (and keeps
-        learning), while the traversal and refinements run on the CSR fast
-        path.
+        of ``graph``; when omitted, ``graph`` is compiled once for this
+        call (and shared with the throwaway index build, if any).  The
+        index stays keyed by node identifiers and keeps learning.
     arena:
         Optional reusable :class:`~repro.traversal.arena.ScratchArena`
         (results and stats are identical with or without it).
     """
     if index is None:
+        backend = compile_search_graph(graph, backend)
         index = HubIndex.build(
             graph,
             num_hubs=num_hubs,

@@ -35,7 +35,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import GraphValidationError, NodeNotFoundError
 from repro.graph.graph import Graph, NodeId, Weight
 
-__all__ = ["CompactGraph", "ensure_backend_fresh"]
+__all__ = ["CompactGraph", "compile_search_graph", "ensure_backend_fresh"]
 
 
 def ensure_backend_fresh(graph, backend, exc_type=GraphValidationError) -> None:
@@ -81,6 +81,23 @@ def ensure_backend_fresh(graph, backend, exc_type=GraphValidationError) -> None:
             "backend CSR compilation is stale: graph version "
             f"{version} vs compiled {backend.source_version}; recompile it"
         )
+
+
+def compile_search_graph(graph, backend=None, exc_type=GraphValidationError):
+    """The compilation a search over ``graph`` traverses.
+
+    A graph that is already compact is its own compilation; a supplied
+    ``backend`` must otherwise pass :func:`ensure_backend_fresh` and is
+    returned as is; anything else is compiled here, once per call.
+    """
+    if getattr(graph, "is_compact", False) and (
+        backend is None or backend is graph
+    ):
+        return graph
+    if backend is not None:
+        ensure_backend_fresh(graph, backend, exc_type=exc_type)
+        return backend
+    return CompactGraph.from_graph(graph)
 
 
 class CompactGraph:

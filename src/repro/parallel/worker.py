@@ -234,7 +234,6 @@ class _WorkerState:
             try:
                 results = self.engine.query_many(
                     list(queries), k, algorithm=algorithm, bounds=bounds,
-                    use_csr=False,
                 )
             finally:
                 delta = (

@@ -5,15 +5,17 @@ lives here:
 
 * :class:`~repro.traversal.heap.AddressableHeap` — a binary min-heap with
   decrease-key, the priority queue ``Q`` of the paper's pseudo-code;
-* :class:`~repro.traversal.int_heap.IntHeap` — its array-backed twin over
-  dense int keys, used by the CSR-specialised loops;
+* :class:`~repro.traversal.int_heap.IntHeap` — an array-backed heap over
+  dense int keys with the same tie-breaking, used by the SDS-tree loops;
 * :class:`~repro.traversal.arena.ScratchArena` — epoch-stamped reusable
   scratch memory (heaps, settled sets, dense bound lists) the engines
   thread through every query instead of reallocating per query;
 * :mod:`~repro.traversal.csr_sds` — the CSR index-space SDS-tree +
-  refinement pipeline (dispatched to by :mod:`repro.core.framework`);
+  refinement pipeline, the one execution path behind
+  :mod:`repro.core.framework`;
 * :mod:`~repro.traversal.dijkstra` — full, bounded and *lazy* (incremental)
-  single-source shortest path searches;
+  single-source shortest path searches over any graph (with array
+  specialisations in :mod:`~repro.traversal.csr_ops`);
 * :mod:`~repro.traversal.knn` — top-k nearest nodes (graph k-NN);
 * :mod:`~repro.traversal.rank` — the exact ``Rank(s, t)`` definition used as
   ground truth by the tests and the naive baseline.

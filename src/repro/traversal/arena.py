@@ -21,10 +21,8 @@ replaces the per-query zeroing with *epoch stamps*:
   stamp;
 * the dense bound lists keep their storage and are guarded by stamp
   tables: a value written in epoch ``e`` is invisible (reads fall back
-  to the framework's defaults) from epoch ``e + 1`` on;
-* the heaps (:class:`IntHeap` for the CSR loops,
-  :class:`~repro.traversal.heap.AddressableHeap` plus a settled ``dict``
-  for the generic dict-backed loops) are reused via their ``clear()``
+  to the defaults a fresh allocation would hold) from epoch ``e + 1`` on;
+* the two :class:`IntHeap` frontiers are reused via their ``clear()``
   methods, which reset only the slots that were actually touched.
   Insertion counters deliberately keep counting across reuses — heap
   tie-breaking only ever compares entries of the *same* search, and
@@ -33,8 +31,7 @@ replaces the per-query zeroing with *epoch stamps*:
 
 One arena is owned per engine (and therefore per worker process, whose
 private engine owns its own) and threaded through
-:class:`~repro.traversal.csr_sds.CompactSDSTreeSearch` and
-:func:`~repro.core.refinement.refine_rank`.  The arena grows (never
+:class:`~repro.traversal.csr_sds.CompactSDSTreeSearch`.  The arena grows (never
 shrinks) when a larger graph arrives: stale stamps from the smaller
 graph are invisible by construction, because new entries start at stamp
 0 and valid epochs start at 1.
@@ -47,9 +44,6 @@ members).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-from repro.traversal.heap import AddressableHeap
 from repro.traversal.int_heap import IntHeap
 
 __all__ = ["EpochStamps", "ScratchArena"]
@@ -150,9 +144,6 @@ class ScratchArena:
         "parent_bound",
         "height_bound",
         "lcount",
-        "generic_tree_heap",
-        "generic_refine_heap",
-        "generic_refine_settled",
     )
 
     def __init__(self, capacity: int = 0) -> None:
@@ -169,12 +160,6 @@ class ScratchArena:
         self.parent_bound: list = []
         self.height_bound: list = []
         self.lcount: list = []
-        # Scratch for the generic (dict-backed) loops: node ids are
-        # arbitrary hashables there, so reuse works by clearing, not by
-        # epoch stamps.
-        self.generic_tree_heap: AddressableHeap = AddressableHeap()
-        self.generic_refine_heap: AddressableHeap = AddressableHeap()
-        self.generic_refine_settled: Dict = {}
         if capacity:
             self.ensure_capacity(capacity)
 
@@ -224,20 +209,6 @@ class ScratchArena:
         heap = self.refine_heap
         heap.clear()
         return heap
-
-    def acquire_generic_tree_heap(self) -> AddressableHeap:
-        """Reusable :class:`AddressableHeap` for the generic SDS traversal."""
-        heap = self.generic_tree_heap
-        heap.clear()
-        return heap
-
-    def acquire_generic_refine(self) -> Tuple[AddressableHeap, Dict]:
-        """Reusable ``(heap, settled dict)`` pair for one generic refinement."""
-        heap = self.generic_refine_heap
-        heap.clear()
-        settled = self.generic_refine_settled
-        settled.clear()
-        return heap, settled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -1,16 +1,17 @@
-"""CSR index-space specialisation of the SDS-tree filter-and-refine pipeline.
+"""CSR index-space SDS-tree filter-and-refine pipeline.
 
-This is the hot-loop twin of :class:`repro.core.framework.SDSTreeSearch`
-plus :func:`repro.core.refinement.refine_rank`: the same traversal, bound
-checks and bounded refinements, but running over the flat
-:class:`~repro.graph.csr.CompactGraph` adjacency buffers with integer node
-indexes and an :class:`~repro.traversal.int_heap.IntHeap` frontier — no
-node-id hashing, no per-neighbour generator frames, no dict-of-dict
-adjacency walks.  :meth:`SDSTreeSearch.run` dispatches here automatically
-when the traversed graph is compact (or a compact ``backend`` compilation
-of it is supplied); node identifiers are translated to CSR indexes once at
-query entry and back only at the few boundaries that leave index space
-(result-set offers and hub-index reads/writes).
+:class:`CompactSDSTreeSearch` is the one execution path of the paper's
+static, Dynamic Bounded and indexed algorithms: the SDS-tree traversal,
+the Theorem-2 bound checks and the bounded ``GetRank`` refinements
+(Algorithm 2, plus the index learning of Algorithm 4), all running over
+the flat :class:`~repro.graph.csr.CompactGraph` adjacency buffers (or an
+:class:`~repro.graph.overlay.OverlayGraph`'s replacement rows) with
+integer node indexes and :class:`~repro.traversal.int_heap.IntHeap`
+frontiers.  :class:`repro.core.framework.SDSTreeSearch` wraps it with
+query validation, result seeding from the hub index and result assembly;
+node identifiers are translated to CSR indexes once at query entry and
+back only at the few boundaries that leave index space (result-set
+offers and hub-index reads/writes).
 
 All working memory is drawn from an epoch-stamped
 :class:`~repro.traversal.arena.ScratchArena` (the caller's — normally the
@@ -22,28 +23,26 @@ reallocation.  Values written in an earlier epoch are invisible — reads
 fall back to exactly the defaults a fresh allocation would hold — so
 arena reuse is behaviour-preserving by construction.
 
-Exactness
----------
-The traversal is a *transcription*, not a re-derivation: every decision the
-dict-backed framework makes is made here in the same order on the same IEEE
-doubles.  Three properties guarantee that:
+Determinism
+-----------
+Ranks, refinement counts and every other
+:class:`~repro.core.types.QueryStats` counter are a pure function of the
+compilation, because:
 
 * :class:`IntHeap` breaks priority ties by insertion order and preserves a
-  key's insertion counter across ``decrease_key``, exactly like
-  :class:`~repro.traversal.heap.AddressableHeap`, so nodes pop in the same
-  order (reused heaps keep counting, which preserves relative insertion
-  order within a search — the only thing ties compare);
+  key's insertion counter across ``decrease_key`` (reused heaps keep
+  counting, which preserves relative insertion order within a search —
+  the only thing ties compare);
 * :class:`CompactGraph` compiles adjacency rows in the source graph's
-  iteration order, so neighbours relax in the same order and tentative
-  distances are produced by the same float additions;
-* the bound bookkeeping (parent rank, tree height, ``lcount``) and the
-  refinement's tie-group arithmetic mirror the originals statement by
-  statement, with epoch-guarded reads supplying the originals' defaults.
+  iteration order, and overlay rows replicate a recompile's order, so
+  neighbours relax in a fixed order and tentative distances come from
+  the same float additions;
+* epoch-guarded reads of the bound lists supply the defaults of a fresh
+  query (parent bound 0.0, height 1, ``lcount`` 0).
 
-Consequently ranks, refinement counts and every other
-:class:`~repro.core.types.QueryStats` counter are bit-identical between the
-two backends — the parity suite asserts exactly this, and the scratch-arena
-suite additionally asserts reuse-vs-fresh identity.
+The counter-oracle suite (``tests/test_csr_sds.py``) pins per-fixture
+answers and counter totals, and the scratch-arena suite asserts
+reuse-vs-fresh identity.
 """
 
 from __future__ import annotations
@@ -183,9 +182,9 @@ class CompactSDSTreeSearch:
             arena.ensure_capacity(num_nodes)
         arena.queries_served += 1
         self._arena = arena
-        # Epoch-guarded twins of the framework's per-node dicts: a read
-        # whose stamp is not this query's epoch yields the default the
-        # framework's .get() calls fall back to (0.0 / 1 / 0).  Parent and
+        # Epoch-guarded per-node bound lists: a read whose stamp is not
+        # this query's epoch yields the fresh-query default (parent 0.0,
+        # height 1, lcount 0).  Parent and
         # height are always written together, so they share one stamp
         # table; lcount is written on a different schedule (inside
         # refinements) and gets its own.
@@ -242,8 +241,15 @@ class CompactSDSTreeSearch:
                     if bound_stamps[node] == bound_epoch
                     else 1
                 )
+                # Lemma 2: an ancestor is strictly closer to its
+                # descendants than q only when it lies at a positive
+                # distance from q; across a zero-weight tree edge into q's
+                # distance-0 group it is tied with q and adds nothing.
                 child_height = base_height + (
-                    1 if counted_mask is None or counted_mask[node] else 0
+                    1
+                    if distance > 0.0
+                    and (counted_mask is None or counted_mask[node])
+                    else 0
                 )
                 child_parent_bound = expand_bound
 
@@ -270,9 +276,14 @@ class CompactSDSTreeSearch:
         stats.tree_pushes += tree_pushes
 
     # ------------------------------------------------------------------
-    # Candidate processing (mirror of SDSTreeSearch._process_candidate)
+    # Candidate processing
     # ------------------------------------------------------------------
     def _process_candidate(self, node: int, distance: float) -> Optional[float]:
+        """Decide what to do with a settled node.
+
+        Returns the parent-rank bound its children should inherit when the
+        node's subtree must be expanded, or ``None`` when it is pruned.
+        """
         candidate_mask = self._candidate_mask
         is_candidate = candidate_mask is None or bool(candidate_mask[node])
         collector = self._collector
@@ -320,9 +331,11 @@ class CompactSDSTreeSearch:
         return float(rank)
 
     def _lower_bound(self, node: int, node_id) -> "tuple[float, Optional[str]]":
-        """Theorem-2 lower bound with the framework's winner attribution.
+        """Theorem-2 lower bound (plus the Check Dictionary component).
 
-        ``node_id`` is the already-translated identifier when the caller
+        Returns ``(bound, winner)``; ties attribute the win in the order
+        parent > height > count > index, matching how the paper reports
+        Table 11.  ``node_id`` is the already-translated identifier when the caller
         has one (indexed mode), else ``None`` and translated on demand.
         """
         best = None
@@ -359,10 +372,29 @@ class CompactSDSTreeSearch:
         return best, winner
 
     # ------------------------------------------------------------------
-    # Bounded rank refinement (mirror of refinement.refine_rank plus the
-    # framework's _refine wiring, fused into one index-space loop)
+    # Bounded rank refinement (GetRank, paper Algorithm 2 / 4)
     # ------------------------------------------------------------------
     def _refine(self, source: int, radius: float, k_rank: float) -> Optional[int]:
+        """Exact ``Rank(source, q)``, or ``None`` once it must exceed ``k_rank``.
+
+        A Dijkstra search from ``source`` runs until the query node itself
+        settles; the rank is one plus the number of counted nodes settled
+        in tie groups strictly closer than ``q``.  Settling ``q`` (rather
+        than counting pushes inside an exclusive radius) keeps the rank
+        exact even when ``radius`` over-estimates ``d(source, q)`` under
+        Theorem-1 subtree pruning.  The search aborts as soon as a closed
+        tie group pushes the partial rank above ``k_rank`` (Algorithm 2,
+        line 17) — the partial rank is a valid lower bound while ``q`` is
+        unsettled — and an unreachable ``q`` counts as pruned too.
+
+        ``radius`` only gates the ``lcount`` bookkeeping: with the count
+        bound active, every node pushed *strictly* inside it (excluding
+        ``source``) has its ``lcount`` bumped exactly once (Lemma 3 needs
+        the strict inequality).  With a hub index, every settled node —
+        ``q`` included — is recorded with its exact rank from ``source``
+        (Algorithm 4), and the settled count feeds
+        :meth:`~repro.core.hub_index.HubIndex.record_exploration`.
+        """
         stats = self._stats
         stats.rank_refinements += 1
         csr = self._csr
@@ -389,6 +421,12 @@ class CompactSDSTreeSearch:
         settled_count = 0
         # Nodes already counted into lcount; a node may only cross below
         # the radius via a later decrease-key and must count exactly once.
+        # Lemma-3 validity survives inflated radii: lcount[w] is only read
+        # when w pops after source, so by heap monotonicity d(source, w) <
+        # radius <= popped(w).  When w's pop is exact every recorded visit
+        # comes from a node strictly closer to w than q — a true rank
+        # witness — and when it is inflated, w descends from a pruned node
+        # whose true rank already reaches the kRank in force.
         if self._count_active:
             notified_epoch = arena.refine_notified.advance()
             notified = arena.refine_notified.stamps

@@ -8,11 +8,11 @@ key is ever hashed on the hot path.
 
 Tie-breaking is **identical** to :class:`AddressableHeap`: ties on priority
 are broken by insertion order, and :meth:`decrease_key` preserves a key's
-original insertion counter.  This is load-bearing — the CSR-specialised
-SDS-tree (:mod:`repro.traversal.csr_sds`) must settle nodes in exactly the
-same order as the dict-backed framework so that ranks, refinement counts
-and every other :class:`~repro.core.types.QueryStats` counter come out
-bit-identical between the two backends.
+original insertion counter.  This is load-bearing — the SDS-tree
+(:mod:`repro.traversal.csr_sds`) settles nodes in exactly this order, and
+ranks, refinement counts and every other
+:class:`~repro.core.types.QueryStats` counter are pinned to it by the
+counter-oracle suite.
 
 The sift loops move a hole instead of swapping entries pairwise, and
 compare ``(priority, counter)`` inline rather than through slice

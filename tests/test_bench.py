@@ -167,8 +167,6 @@ def test_harness_times_all_four_algorithms(tiny_result):
         assert timing.best_seconds <= max(timing.repetitions)
         assert timing.validated is True, name
     assert tiny_result.algorithms["indexed"].index_build_seconds is not None
-    assert tiny_result.backend == "csr"
-    assert tiny_result.backend_consistent is True
 
 
 def test_harness_skips_indexed_on_bichromatic():
@@ -177,10 +175,6 @@ def test_harness_skips_indexed_on_bichromatic():
     assert result.algorithms["indexed"].skipped
     assert not result.algorithms["indexed"].repetitions
     assert result.algorithms["dynamic"].validated is True
-    # Bichromatic queries run on the CSR backend too (the SDS fast path
-    # supports the partition predicates) and are checked against dict.
-    assert result.backend == "csr"
-    assert result.backend_consistent is True
 
 
 def test_harness_samples_naive_on_large_workloads():
@@ -202,7 +196,6 @@ def test_harness_samples_naive_on_large_workloads():
         timing = result.algorithms[name]
         assert timing.validated is True, name
         assert timing.speedup_vs_naive is not None
-    assert result.backend_consistent is True
     payload = result.as_dict()
     assert payload["algorithms"]["naive"]["sampled_candidates"] == 10
     assert payload["algorithms"]["naive"]["estimated_full_seconds"] > 0
@@ -295,7 +288,8 @@ def test_workers_axis_rejects_bad_values_and_no_csr():
         run_workload(workload, repetitions=1, warmup=0, workers=0)
     with pytest.raises(WorkloadError):
         run_workload(workload, repetitions=1, warmup=0, workers=(1, -2))
-    with pytest.raises(WorkloadError):
+    # The dict backend is gone, and so is the knob that selected it.
+    with pytest.raises(TypeError):
         run_workload(
             workload, repetitions=1, warmup=0, workers=2, use_csr=False
         )
@@ -331,7 +325,7 @@ def test_report_schema(tiny_result):
     assert report["schema_version"] == 1
     assert report["config"]["scale"] == "test"
     (workload,) = report["workloads"]
-    assert workload["backend_consistent"] is True
+    assert "backend_consistent" not in workload and "backend" not in workload
     for name in ("naive", "static", "dynamic", "indexed"):
         timing = workload["algorithms"][name]
         assert timing["mean_seconds"] >= 0
@@ -499,7 +493,8 @@ def test_mutation_axis_rejects_bad_rate_and_no_csr():
     workload = gnp_workload(num_nodes=18, seed=2, num_queries=2, k=2)
     with pytest.raises(WorkloadError):
         run_workload(workload, repetitions=1, warmup=0, mutation_rate=-0.1)
-    with pytest.raises(WorkloadError):
+    # The dict backend is gone, and so is the knob that selected it.
+    with pytest.raises(TypeError):
         run_workload(
             workload, repetitions=1, warmup=0, use_csr=False,
             mutation_rate=0.5,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +19,9 @@ def make_report(workloads):
     return {"schema_version": 1, "generated_by": "repro.bench", "workloads": workloads}
 
 
-def make_workload(name, algorithms, backend_consistent=True):
+def make_workload(name, algorithms):
     return {
         "name": name,
-        "backend_consistent": backend_consistent,
         "algorithms": {
             # Real reports carry both timing keys; fixtures mirror that so
             # the tests hold under any default metric.
@@ -103,11 +103,16 @@ def test_compare_fails_on_correctness_flags():
     _, failures = compare_reports(old, bad_validation)
     assert any("validated is false" in line for line in failures)
 
-    bad_backend = make_report(
-        [make_workload("gnp", {"dynamic": (0.1, True)}, backend_consistent=False)]
-    )
-    _, failures = compare_reports(old, bad_backend)
-    assert any("backend_consistent is false" in line for line in failures)
+    # Reports committed while the dict-keyed backend existed carry a
+    # config.use_csr entry and a per-workload backend_consistent flag;
+    # fresh reports carry neither.  The gate went with the backend it
+    # checked, so the legacy flag is never read in either position.
+    legacy = make_report([make_workload("gnp", {"dynamic": (0.1, True)})])
+    legacy["config"] = {"use_csr": True}
+    legacy["workloads"][0]["backend_consistent"] = True
+    assert compare_reports(legacy, old)[1] == []
+    legacy["workloads"][0]["backend_consistent"] = False
+    assert compare_reports(old, legacy)[1] == []
 
     bad_parallel_workload = make_workload("gnp", {"dynamic": (0.1, True)})
     bad_parallel_workload["parallel_consistent"] = False
@@ -212,6 +217,23 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main([str(old_path), str(new_path), "--tolerance", "10"]) == 0
     capsys.readouterr()
     assert main([str(old_path), str(new_path), "--tolerance", "-1"]) == 2
+
+    # The committed trajectory predates the single backend: it still
+    # carries config.use_csr and backend_consistent, which fresh reports
+    # lack.  CI's trajectory gate must pass on that old-vs-new pair.
+    committed_path = Path(__file__).resolve().parent.parent / "BENCH_core.json"
+    committed = json.loads(committed_path.read_text())
+    assert committed["config"]["use_csr"] is True
+    assert all(w["backend_consistent"] is True for w in committed["workloads"])
+    fresh = json.loads(committed_path.read_text())
+    del fresh["config"]["use_csr"]
+    for workload in fresh["workloads"]:
+        del workload["backend_consistent"]
+    new_path.write_text(json.dumps(fresh))
+    assert main([
+        str(committed_path), str(new_path), "--metric", "speedup_vs_naive",
+        "--tolerance", "1.0", "--min-speedup", "2",
+    ]) == 0
 
 
 def test_compare_fails_on_mutation_inconsistency():

@@ -73,6 +73,27 @@ def test_directed_matches_naive_every_query_node(directed_gnp, k):
         validate_against_naive(directed_gnp, query, k)
 
 
+@pytest.mark.parametrize(
+    "bounds", (BoundSet.parent_and_height(), BoundSet.all())
+)
+def test_height_bound_ignores_zero_distance_ancestors(bounds):
+    # a, b, c tie with q at distance 0 along zero-weight edges, so none of
+    # them is strictly closer to e than q and Rank(e, q) = 1.  Counting
+    # them as tree-height ancestors would bound e at 4 and prune it once
+    # h's rank 3 sets kRank = 3.
+    from repro.graph import Graph
+
+    graph = Graph(directed=True)
+    for source, target, weight in (
+        ("a", "q", 0.0), ("b", "a", 0.0), ("c", "b", 0.0), ("e", "c", 1.0),
+        ("h", "q", 0.5), ("h", "x", 0.1), ("h", "y", 0.2),
+    ):
+        graph.add_edge(source, target, weight)
+    result = dynamic_reverse_k_ranks(graph, "q", 4, bounds=bounds)
+    assert result.as_pairs() == naive_reverse_k_ranks(graph, "q", 4).as_pairs()
+    assert result.as_pairs() == [("a", 1), ("b", 1), ("c", 1), ("e", 1)]
+
+
 def test_oversized_k_returns_all_reachable_candidates(path_graph):
     results = validate_against_naive(path_graph, 0, 50)
     assert len(results["naive"]) == path_graph.num_nodes - 1

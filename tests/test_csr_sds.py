@@ -1,16 +1,22 @@
-"""CSR-vs-dict parity for the array-specialised SDS-tree pipeline.
+"""Counter oracle for the SDS-tree pipeline (:mod:`repro.traversal.csr_sds`).
 
-The CSR fast path (:mod:`repro.traversal.csr_sds`) must be a bit-identical
-transcription of the dict-backed framework: same ranks, same result nodes,
-and — the stronger bar — the same :class:`~repro.core.types.QueryStats`
-counters (``rank_refinements`` above all, the paper's pruning-power proxy).
-These tests sweep directed, tie-heavy and bichromatic fixtures, every
-``BoundSet`` ablation, and the hub-indexed algorithm.
+The pipeline once had a dict-keyed twin, and a parity suite proved the two
+bit-identical: same ranks, same result nodes and — the stronger bar — the
+same :class:`~repro.core.types.QueryStats` counters (``rank_refinements``
+above all, the paper's pruning-power proxy).  With the twin gone, that
+proof is frozen into ``data/csr_sds_oracle.json``: per fixture, every
+result's ``as_pairs()`` and the fixture's summed counters, recorded while
+both backends still existed and agreed.  Any change to traversal order,
+tie-breaking, bound bookkeeping or refinement termination moves a counter
+and fails here.  The sweep covers directed, tie-heavy and bichromatic
+fixtures, every ``BoundSet`` ablation, and warm hub-index learning.
 """
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +25,7 @@ from repro.core.config import BoundSet
 from repro.core.hub_index import HubIndex
 from repro.core.sds_dynamic import dynamic_reverse_k_ranks
 from repro.core.sds_static import static_reverse_k_ranks
+from repro.core.types import QueryStats
 from repro.errors import GraphValidationError
 from repro.core.sds_indexed import indexed_reverse_k_ranks
 from repro.graph import BichromaticPartition, CompactGraph, Graph
@@ -32,6 +39,10 @@ BOUND_PRESETS = [
     BoundSet.parent_and_height(),
     BoundSet.all(),
 ]
+
+ORACLE = json.loads(
+    (Path(__file__).parent / "data" / "csr_sds_oracle.json").read_text()
+)
 
 
 def stats_signature(result):
@@ -59,13 +70,22 @@ def random_graph(seed: int, num_nodes: int = 40, directed: bool = False,
     return graph
 
 
-def assert_bit_identical(dict_result, csr_result):
-    assert dict_result.as_pairs() == csr_result.as_pairs()
-    assert stats_signature(dict_result) == stats_signature(csr_result)
+def assert_matches_oracle(key, results):
+    """Pairs of every result, and the summed counters, equal the oracle."""
+    expected = ORACLE[key]
+    assert [
+        [list(pair) for pair in result.as_pairs()] for result in results
+    ] == expected["pairs"], key
+    total = QueryStats()
+    for result in results:
+        total.merge(result.stats)
+    counters = total.as_dict()
+    counters.pop("elapsed_seconds")
+    assert counters == expected["counters"], key
 
 
 # ----------------------------------------------------------------------
-# Static + dynamic parity across fixture shapes and bound ablations
+# Static + dynamic across fixture shapes and bound ablations
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("directed", [False, True])
@@ -73,52 +93,59 @@ def assert_bit_identical(dict_result, csr_result):
 def test_dynamic_parity_including_refinement_counts(seed, directed, tie_heavy):
     graph = random_graph(seed, directed=directed, tie_heavy=tie_heavy)
     csr = CompactGraph.from_graph(graph)
+    results = []
     for query in (0, 13, 27):
         for k in (1, 5):
             for bounds in BOUND_PRESETS:
-                dict_result = dynamic_reverse_k_ranks(graph, query, k, bounds=bounds)
-                csr_result = dynamic_reverse_k_ranks(csr, query, k, bounds=bounds)
-                backend_result = dynamic_reverse_k_ranks(
-                    graph, query, k, bounds=bounds, backend=csr
-                )
-                assert_bit_identical(dict_result, csr_result)
-                assert_bit_identical(dict_result, backend_result)
+                result = dynamic_reverse_k_ranks(csr, query, k, bounds=bounds)
+                # A plain Graph (compiled per call) and an explicit backend
+                # take the same path.
+                for twin in (
+                    dynamic_reverse_k_ranks(graph, query, k, bounds=bounds),
+                    dynamic_reverse_k_ranks(
+                        graph, query, k, bounds=bounds, backend=csr
+                    ),
+                ):
+                    assert twin.as_pairs() == result.as_pairs()
+                    assert stats_signature(twin) == stats_signature(result)
+                results.append(result)
+    assert_matches_oracle(
+        f"dynamic-{seed}-{'directed' if directed else 'undirected'}-"
+        f"{'ties' if tie_heavy else 'plain'}",
+        results,
+    )
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_static_parity(seed):
     graph = random_graph(seed, tie_heavy=True)
-    csr = CompactGraph.from_graph(graph)
-    for query in (0, 20):
-        assert_bit_identical(
-            static_reverse_k_ranks(graph, query, 4),
-            static_reverse_k_ranks(csr, query, 4),
-        )
+    assert_matches_oracle(
+        f"static-{seed}",
+        [static_reverse_k_ranks(graph, query, 4) for query in (0, 20)],
+    )
 
 
 # ----------------------------------------------------------------------
-# Indexed parity (twin deterministic indexes, learning included)
+# Indexed (warm index learning included)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(4))
 def test_indexed_parity_with_warm_index_learning(seed):
     graph = random_graph(seed, num_nodes=36)
     csr = CompactGraph.from_graph(graph)
-    build = dict(num_hubs=5, explore_limit=20, capacity=8)
-    dict_index = HubIndex.build(graph, **build)
-    csr_index = HubIndex.build(graph, **build)
-    # Repeated queries keep both indexes learning in lockstep; parity must
-    # survive the warm-index feedback loop, not just the first query.
-    for query in (0, 11, 23, 11):
-        for k in (2, 6):
-            assert_bit_identical(
-                indexed_reverse_k_ranks(graph, query, k, index=dict_index),
-                indexed_reverse_k_ranks(graph, query, k, index=csr_index, backend=csr),
-            )
-    assert dict_index.num_known_ranks == csr_index.num_known_ranks
+    index = HubIndex.build(graph, num_hubs=5, explore_limit=20, capacity=8)
+    # Repeated queries keep the index learning; the oracle must hold
+    # through the warm-index feedback loop, not just the first query.
+    results = [
+        indexed_reverse_k_ranks(graph, query, k, index=index, backend=csr)
+        for query in (0, 11, 23, 11)
+        for k in (2, 6)
+    ]
+    assert_matches_oracle(f"indexed-{seed}", results)
+    assert index.num_known_ranks == ORACLE[f"indexed-{seed}"]["known_ranks"]
 
 
 # ----------------------------------------------------------------------
-# Bichromatic parity (candidate/counted predicate masks)
+# Bichromatic (candidate/counted predicate masks)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("tie_heavy", [False, True])
@@ -128,14 +155,16 @@ def test_bichromatic_parity(seed, tie_heavy):
     facilities = random.Random(seed).sample(range(36), 12)
     partition = BichromaticPartition(graph, facilities)
     query = sorted(partition.facilities)[0]
-    for k in (1, 4):
-        for bounds in (BoundSet.none(), BoundSet.all()):
-            assert_bit_identical(
-                bichromatic_reverse_k_ranks(partition, query, k, bounds=bounds),
-                bichromatic_reverse_k_ranks(
-                    partition, query, k, bounds=bounds, backend=csr
-                ),
-            )
+    results = [
+        bichromatic_reverse_k_ranks(
+            partition, query, k, bounds=bounds, backend=csr
+        )
+        for k in (1, 4)
+        for bounds in (BoundSet.none(), BoundSet.all())
+    ]
+    assert_matches_oracle(
+        f"bichromatic-{seed}-{'ties' if tie_heavy else 'plain'}", results
+    )
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import AlgorithmKind, ReverseKRanksEngine
+from repro.core.bichromatic import bichromatic_reverse_k_ranks
 from repro.errors import (
     BichromaticError,
     IndexCapacityError,
@@ -187,11 +188,11 @@ def test_partition_masks_cached_per_graph_version(random_gnp, bichromatic_case):
     assert engine._masks is masks
 
     # Cached masks answer identically to per-query predicate evaluation
-    # (query() takes the dict path, which never uses masks).
+    # (the bare entry point builds its masks from the predicates).
     for query, batched in zip(queries, first):
-        assert engine.query(query, 3, algorithm="dynamic").as_pairs() == (
-            batched.as_pairs()
-        )
+        assert bichromatic_reverse_k_ranks(
+            bichromatic_case, query, 3
+        ).as_pairs() == batched.as_pairs()
 
 
 def test_partition_masks_recomputed_after_mutation(random_gnp, bichromatic_case):
@@ -206,7 +207,9 @@ def test_partition_masks_recomputed_after_mutation(random_gnp, bichromatic_case)
     graph.add_edge(0, 9, 0.75)
     refreshed = engine.query_many(queries, 2, algorithm="dynamic")
     assert engine._masks is not stale_masks
-    # And the refreshed batch agrees with the dict backend on the mutated
-    # graph (masks were rebuilt for the new compilation, not reused).
-    unmasked = engine.query_many(queries, 2, algorithm="dynamic", use_csr=False)
+    # And the refreshed batch agrees with per-query predicate evaluation on
+    # the mutated graph (masks were rebuilt for the new compilation).
+    unmasked = [
+        bichromatic_reverse_k_ranks(partition, query, 2) for query in queries
+    ]
     assert [r.as_pairs() for r in refreshed] == [r.as_pairs() for r in unmasked]

@@ -169,9 +169,7 @@ class TestMergedIndexParity:
                 csr, index=HubIndex.from_state(csr, state)
             )
             worker_engine.index.start_learning_log()
-            worker_engine.query_many(
-                shard, k, algorithm=AlgorithmKind.INDEXED, use_csr=False
-            )
+            worker_engine.query_many(shard, k, algorithm=AlgorithmKind.INDEXED)
             deltas.append(worker_engine.index.pop_learning_log())
         merged_entries = sum(master.merge_delta(delta) for delta in deltas)
         assert merged_entries > 0

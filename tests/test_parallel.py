@@ -288,8 +288,6 @@ class TestEngineParallel:
             engine.query_many(queries, 2, workers=0)
         with pytest.raises(ParallelExecutionError):
             engine.query_many(queries, 2, workers=True)
-        with pytest.raises(ParallelExecutionError):
-            engine.query_many(queries, 2, workers=2, use_csr=False)
         # workers=1 and single-query batches never start a pool.
         engine.query_many(queries, 2, workers=1)
         engine.query_many(queries[:1], 2, workers=2)

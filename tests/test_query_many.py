@@ -17,6 +17,7 @@ from repro.errors import (
     InvalidKError,
     InvalidQueryNodeError,
 )
+from repro.graph import CompactGraph
 
 from conftest import sample_queries
 
@@ -27,6 +28,12 @@ ALL_KINDS = (
     AlgorithmKind.DYNAMIC,
     AlgorithmKind.INDEXED,
 )
+
+
+def stats_without_time(result):
+    payload = result.stats.as_dict()
+    payload.pop("elapsed_seconds")
+    return payload
 
 
 @pytest.fixture()
@@ -47,14 +54,40 @@ def test_batch_matches_single_queries(warm_engine, random_gnp, kind):
         assert result.as_pairs() == single.as_pairs()
 
 
-@pytest.mark.parametrize("kind", (AlgorithmKind.NAIVE, AlgorithmKind.DYNAMIC))
-def test_csr_and_dict_batches_identical(random_gnp, kind):
+@pytest.mark.parametrize(
+    "kind", (AlgorithmKind.STATIC, AlgorithmKind.DYNAMIC, AlgorithmKind.INDEXED)
+)
+def test_single_query_matches_batch_counters_and_reuses_compilation(
+    random_gnp, kind
+):
     engine = ReverseKRanksEngine(random_gnp)
-    queries = sample_queries(random_gnp, 4)
-    with_csr = engine.query_many(queries, 3, algorithm=kind, use_csr=True)
-    without_csr = engine.query_many(queries, 3, algorithm=kind, use_csr=False)
-    for left, right in zip(with_csr, without_csr):
-        assert left.as_pairs() == right.as_pairs()
+    if kind is AlgorithmKind.INDEXED:
+        engine.build_index(num_hubs=3, capacity=8)
+    queries = sample_queries(random_gnp, 5)
+    recompactions = engine.registry.get("repro_csr_recompactions_total")
+    # Indexed queries learn; replay the batch from the same knowledge.
+    state = engine.export_state()
+    singles = [engine.query(query, 3, algorithm=kind) for query in queries]
+    # query() runs on the cached compilation: one compile, ever.
+    assert recompactions.value == 1
+    if state is not None:
+        engine.adopt_index(HubIndex.from_state(random_gnp, state))
+    for query, single in zip(queries, singles):
+        (batched,) = engine.query_many([query], 3, algorithm=kind)
+        assert single.as_pairs() == batched.as_pairs()
+        assert stats_without_time(single) == stats_without_time(batched)
+    assert recompactions.value == 1
+
+
+def test_engine_over_a_compilation_does_not_recompile(random_gnp):
+    csr = CompactGraph.from_graph(random_gnp)
+    engine = ReverseKRanksEngine(csr)
+    assert engine.compact_graph() is csr
+    queries = sample_queries(random_gnp, 3)
+    assert [r.as_pairs() for r in engine.query_many(queries, 3)] == [
+        r.as_pairs() for r in ReverseKRanksEngine(random_gnp).query_many(queries, 3)
+    ]
+    assert engine.registry.get("repro_csr_recompactions_total").value == 0
 
 
 def test_csr_compiled_once_per_graph_version(random_gnp):

@@ -16,7 +16,6 @@ import pytest
 from repro.core import AlgorithmKind, ReverseKRanksEngine
 from repro.core.config import BoundSet
 from repro.core.sds_dynamic import dynamic_reverse_k_ranks
-from repro.core.sds_static import static_reverse_k_ranks
 from repro.graph import CompactGraph
 from repro.traversal import EpochStamps, IntHeap, ScratchArena
 
@@ -163,17 +162,6 @@ class TestArenaReuseParity:
                 )
                 assert shared.as_pairs() == fresh.as_pairs()
                 assert _stats_signature(shared) == _stats_signature(fresh)
-
-    def test_generic_dict_path_reuse_parity(self, weighted_grid):
-        # No backend: the arena serves the AddressableHeap/dict loops.
-        arena = ScratchArena()
-        for query in sorted(weighted_grid.nodes(), key=repr):
-            shared = static_reverse_k_ranks(
-                weighted_grid, query, 3, arena=arena
-            )
-            fresh = static_reverse_k_ranks(weighted_grid, query, 3)
-            assert shared.as_pairs() == fresh.as_pairs()
-            assert _stats_signature(shared) == _stats_signature(fresh)
 
     def test_engine_owns_and_reuses_one_arena(self, random_gnp):
         engine = ReverseKRanksEngine(random_gnp)
