@@ -107,7 +107,7 @@ class SDSTreeSearch:
         exactly the ``candidate`` / ``counted`` predicates.
     arena:
         Optional :class:`~repro.traversal.arena.ScratchArena` supplying
-        reusable, epoch-stamped scratch memory (frontier heaps, settled
+        reusable, epoch-stamped scratch memory (settled and notified
         sets, the dense bound lists).  Engines own one and thread it
         through every query; results and
         :class:`~repro.core.types.QueryStats` are identical with or

@@ -5,10 +5,8 @@ lives here:
 
 * :class:`~repro.traversal.heap.AddressableHeap` — a binary min-heap with
   decrease-key, the priority queue ``Q`` of the paper's pseudo-code;
-* :class:`~repro.traversal.int_heap.IntHeap` — an array-backed heap over
-  dense int keys with the same tie-breaking, used by the SDS-tree loops;
 * :class:`~repro.traversal.arena.ScratchArena` — epoch-stamped reusable
-  scratch memory (heaps, settled sets, dense bound lists) the engines
+  scratch memory (settled sets, dense bound lists) the engines
   thread through every query instead of reallocating per query;
 * :mod:`~repro.traversal.csr_sds` — the CSR index-space SDS-tree +
   refinement pipeline, the one execution path behind
@@ -23,7 +21,6 @@ lives here:
 
 from repro.traversal.arena import EpochStamps, ScratchArena
 from repro.traversal.heap import AddressableHeap
-from repro.traversal.int_heap import IntHeap
 from repro.traversal.dijkstra import (
     DijkstraSearch,
     shortest_path_distances,
@@ -43,7 +40,6 @@ from repro.traversal.csr_ops import (
 __all__ = [
     "AddressableHeap",
     "EpochStamps",
-    "IntHeap",
     "ScratchArena",
     "DijkstraSearch",
     "ShortestPathTree",

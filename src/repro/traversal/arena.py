@@ -1,13 +1,12 @@
 """Epoch-stamped scratch arena for the query hot loops.
 
-Every reverse k-ranks query used to allocate its working memory from
-scratch: one :class:`~repro.traversal.int_heap.IntHeap` and one settled
-``bytearray`` for the SDS-tree traversal, another heap/``bytearray`` pair
-*per rank refinement* (of which a query runs many), plus three dense
-bound lists sized to ``n`` (parent rank, tree height, ``lcount``).  At
-n ≫ 10⁴ that allocation traffic is a measurable fraction of query time —
-exactly the "refinement scratch reuse" lever ROADMAP ranks next to result
-batching.
+Every reverse k-ranks query used to allocate its dense working memory
+from scratch: one settled ``bytearray`` for the SDS-tree traversal,
+another *per rank refinement* (of which a query runs many), plus three
+dense bound lists sized to ``n`` (parent rank, tree height,
+``lcount``).  At n ≫ 10⁴ that allocation traffic is a measurable
+fraction of query time — exactly the "refinement scratch reuse" lever
+ROADMAP ranks next to result batching.
 
 :class:`ScratchArena` keeps all of that storage alive across queries and
 replaces the per-query zeroing with *epoch stamps*:
@@ -21,13 +20,12 @@ replaces the per-query zeroing with *epoch stamps*:
   stamp;
 * the dense bound lists keep their storage and are guarded by stamp
   tables: a value written in epoch ``e`` is invisible (reads fall back
-  to the defaults a fresh allocation would hold) from epoch ``e + 1`` on;
-* the two :class:`IntHeap` frontiers are reused via their ``clear()``
-  methods, which reset only the slots that were actually touched.
-  Insertion counters deliberately keep counting across reuses — heap
-  tie-breaking only ever compares entries of the *same* search, and
-  there relative insertion order is unchanged, so results stay
-  bit-identical to fresh-allocation runs.
+  to the defaults a fresh allocation would hold) from epoch ``e + 1`` on.
+
+The frontiers themselves are not arena members: each search keeps a
+local :mod:`heapq` list plus two dicts (best priority, first push
+order) over the nodes it reaches, so they grow with the search rather
+than with ``n``.
 
 One arena is owned per engine (and therefore per worker process, whose
 private engine owns its own) and threaded through
@@ -43,8 +41,6 @@ members).
 """
 
 from __future__ import annotations
-
-from repro.traversal.int_heap import IntHeap
 
 __all__ = ["EpochStamps", "ScratchArena"]
 
@@ -112,16 +108,12 @@ class ScratchArena:
     """Reusable per-engine scratch memory for SDS-tree queries.
 
     Members are deliberately public: the hot loops bind them to locals
-    once per query/refinement and index them directly.  Use the
-    ``acquire_*`` methods to obtain a structure ready for a new search
-    and :meth:`ensure_capacity` before binding anything for a graph.
+    once per query/refinement and index them directly.  Call
+    :meth:`ensure_capacity` before binding anything for a graph, and
+    :meth:`EpochStamps.advance` to start a new search on a stamp table.
 
     Attributes
     ----------
-    tree_heap / refine_heap:
-        :class:`IntHeap` frontiers for the SDS-tree traversal and the
-        (nested) rank refinements.  Distinct objects because refinements
-        run while the tree heap is live.
     tree_settled / refine_settled / refine_notified:
         :class:`EpochStamps` membership sets (settled nodes of either
         search; nodes already counted into ``lcount``).
@@ -134,8 +126,6 @@ class ScratchArena:
     __slots__ = (
         "_capacity",
         "queries_served",
-        "tree_heap",
-        "refine_heap",
         "tree_settled",
         "refine_settled",
         "refine_notified",
@@ -150,8 +140,6 @@ class ScratchArena:
         self._capacity = 0
         #: How many queries have drawn scratch from this arena (telemetry).
         self.queries_served = 0
-        self.tree_heap = IntHeap(0)
-        self.refine_heap = IntHeap(0)
         self.tree_settled = EpochStamps()
         self.refine_settled = EpochStamps()
         self.refine_notified = EpochStamps()
@@ -179,8 +167,6 @@ class ScratchArena:
         if capacity <= self._capacity:
             return
         extra = capacity - self._capacity
-        self.tree_heap.grow(capacity)
-        self.refine_heap.grow(capacity)
         self.tree_settled.grow(capacity)
         self.refine_settled.grow(capacity)
         self.refine_notified.grow(capacity)
@@ -190,25 +176,6 @@ class ScratchArena:
         self.height_bound.extend([1] * extra)
         self.lcount.extend([0] * extra)
         self._capacity = capacity
-
-    # ------------------------------------------------------------------
-    def acquire_tree_heap(self) -> IntHeap:
-        """The SDS-tree frontier heap, emptied and ready for a new query."""
-        heap = self.tree_heap
-        heap.clear()
-        return heap
-
-    def acquire_refine_heap(self) -> IntHeap:
-        """The refinement frontier heap, emptied for one refinement run.
-
-        Refinements that abort early (``PRUNED``, or the query node
-        settling) leave entries behind; clearing resets only the touched
-        position slots, so acquisition stays proportional to the
-        previous frontier, not to ``n``.
-        """
-        heap = self.refine_heap
-        heap.clear()
-        return heap
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

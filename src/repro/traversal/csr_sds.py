@@ -6,9 +6,9 @@ the Theorem-2 bound checks and the bounded ``GetRank`` refinements
 (Algorithm 2, plus the index learning of Algorithm 4), all running over
 the flat :class:`~repro.graph.csr.CompactGraph` adjacency buffers (or an
 :class:`~repro.graph.overlay.OverlayGraph`'s replacement rows) with
-integer node indexes and :class:`~repro.traversal.int_heap.IntHeap`
-frontiers.  :class:`repro.core.framework.SDSTreeSearch` wraps it with
-query validation, result seeding from the hub index and result assembly;
+integer node indexes and stdlib :mod:`heapq` lazy-deletion frontiers.
+:class:`repro.core.framework.SDSTreeSearch` wraps it with query
+validation, result seeding from the hub index and result assembly;
 node identifiers are translated to CSR indexes once at query entry and
 back only at the few boundaries that leave index space (result-set
 offers and hub-index reads/writes).
@@ -16,8 +16,8 @@ offers and hub-index reads/writes).
 All working memory is drawn from an epoch-stamped
 :class:`~repro.traversal.arena.ScratchArena` (the caller's — normally the
 engine's, reused across every query it answers — or a private one when
-none is supplied): the frontier heaps, the settled/notified sets and the
-three dense Theorem-2 bound lists live in the arena, and a new query or
+none is supplied): the settled/notified sets and the three dense
+Theorem-2 bound lists live in the arena, and a new query or
 refinement claims them with an O(1) epoch bump instead of O(n)
 reallocation.  Values written in an earlier epoch are invisible — reads
 fall back to exactly the defaults a fresh allocation would hold — so
@@ -29,10 +29,18 @@ Ranks, refinement counts and every other
 :class:`~repro.core.types.QueryStats` counter are a pure function of the
 compilation, because:
 
-* :class:`IntHeap` breaks priority ties by insertion order and preserves a
-  key's insertion counter across ``decrease_key`` (reused heaps keep
-  counting, which preserves relative insertion order within a search —
-  the only thing ties compare);
+* both searches pop ``(priority, first_push_order, node)`` tuples from a
+  :mod:`heapq` list, and keep each reached node's best priority and
+  first push order in two plain dicts (floats and ints only, so the
+  garbage collector never tracks them).  A node's first relaxation
+  pushes it with a fresh order number; a strictly lower candidate pushes
+  it again under that *original* number (decrease-key as lazy
+  insertion), and anything else is skipped.  The newest entry of a node therefore carries its lowest
+  priority, and (priority, order) pairs are unique, so it pops before
+  every older entry of the same node; those stale entries surface only
+  after the node is stamped settled and are skipped on pop.  Live
+  entries thus settle in ``(priority, first_push_order)`` order —
+  priority ties break by first-push order, decrease-key included;
 * :class:`CompactGraph` compiles adjacency rows in the source graph's
   iteration order, and overlay rows replicate a recompile's order, so
   neighbours relax in a fixed order and tentative distances come from
@@ -47,6 +55,7 @@ reuse-vs-fresh identity.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable, Hashable, Optional
 
 from repro.traversal.arena import ScratchArena
@@ -214,18 +223,23 @@ class CompactSDSTreeSearch:
         stats = self._stats
 
         arena = self._arena
-        heap = arena.acquire_tree_heap()
         settled_epoch = arena.tree_settled.advance()
         settled = arena.tree_settled.stamps
-        heap.push(query_index, 0.0)
-        heap_pop = heap.pop
-        heap_push_or_decrease = heap.push_or_decrease
+        # Best priority and first push order per reached node; see
+        # "Determinism".
+        best = {query_index: 0.0}
+        best_get = best.get
+        first_order = {query_index: 0}
+        frontier = [(0.0, 0, query_index)]
+        next_order = 1
         process_candidate = self._process_candidate
         tree_pops = 0
         tree_pushes = 0
 
-        while heap:
-            node, distance = heap_pop()
+        while frontier:
+            distance, _, node = heappop(frontier)
+            if settled[node] == settled_epoch:
+                continue
             settled[node] = settled_epoch
             tree_pops += 1
 
@@ -264,13 +278,24 @@ class CompactSDSTreeSearch:
                 neighbor = endpoints[position]
                 if settled[neighbor] == settled_epoch:
                     continue
-                if heap_push_or_decrease(
-                    neighbor, distance + edge_weights[position]
-                ):
-                    tree_pushes += 1
-                    height_bound[neighbor] = child_height
-                    parent_bound[neighbor] = child_parent_bound
-                    bound_stamps[neighbor] = bound_epoch
+                candidate = distance + edge_weights[position]
+                known = best_get(neighbor)
+                if known is None:
+                    best[neighbor] = candidate
+                    first_order[neighbor] = next_order
+                    heappush(frontier, (candidate, next_order, neighbor))
+                    next_order += 1
+                elif candidate < known:
+                    best[neighbor] = candidate
+                    heappush(
+                        frontier, (candidate, first_order[neighbor], neighbor)
+                    )
+                else:
+                    continue
+                tree_pushes += 1
+                height_bound[neighbor] = child_height
+                parent_bound[neighbor] = child_parent_bound
+                bound_stamps[neighbor] = bound_epoch
 
         stats.tree_pops += tree_pops
         stats.tree_pushes += tree_pushes
@@ -412,10 +437,11 @@ class CompactSDSTreeSearch:
         source_id = node_at(source) if index is not None else None
 
         arena = self._arena
-        heap = arena.acquire_refine_heap()
-        heap.push(source, 0.0)
-        heap_pop = heap.pop
-        heap_push_or_decrease = heap.push_or_decrease
+        best = {source: 0.0}
+        best_get = best.get
+        first_order = {source: 0}
+        frontier = [(0.0, 0, source)]
+        next_order = 1
         settled_epoch = arena.refine_settled.advance()
         settled = arena.refine_settled.stamps
         settled_count = 0
@@ -438,8 +464,10 @@ class CompactSDSTreeSearch:
         previous_distance: Optional[float] = None
         rank = _PRUNED
 
-        while heap:
-            node, distance = heap_pop()
+        while frontier:
+            distance, _, node = heappop(frontier)
+            if settled[node] == settled_epoch:
+                continue
             settled[node] = settled_epoch
             settled_count += 1
 
@@ -466,27 +494,34 @@ class CompactSDSTreeSearch:
             else:
                 endpoints, edge_weights = row
                 start, stop = 0, len(endpoints)
-            if notified is None:
-                for position in range(start, stop):
-                    neighbor = endpoints[position]
-                    if settled[neighbor] != settled_epoch:
-                        heap_push_or_decrease(
-                            neighbor, distance + edge_weights[position]
-                        )
-            else:
-                for position in range(start, stop):
-                    neighbor = endpoints[position]
-                    if settled[neighbor] == settled_epoch:
-                        continue
-                    candidate = distance + edge_weights[position]
-                    heap_push_or_decrease(neighbor, candidate)
-                    if candidate < radius and notified[neighbor] != notified_epoch:
-                        notified[neighbor] = notified_epoch
-                        if lcount_stamps[neighbor] == lcount_epoch:
-                            lcount[neighbor] += 1
-                        else:
-                            lcount[neighbor] = 1
-                            lcount_stamps[neighbor] = lcount_epoch
+            for position in range(start, stop):
+                neighbor = endpoints[position]
+                if settled[neighbor] == settled_epoch:
+                    continue
+                candidate = distance + edge_weights[position]
+                known = best_get(neighbor)
+                if known is None:
+                    best[neighbor] = candidate
+                    first_order[neighbor] = next_order
+                    heappush(frontier, (candidate, next_order, neighbor))
+                    next_order += 1
+                elif candidate < known:
+                    best[neighbor] = candidate
+                    heappush(
+                        frontier, (candidate, first_order[neighbor], neighbor)
+                    )
+                # lcount bookkeeping runs whether or not the push happened.
+                if (
+                    notified is not None
+                    and candidate < radius
+                    and notified[neighbor] != notified_epoch
+                ):
+                    notified[neighbor] = notified_epoch
+                    if lcount_stamps[neighbor] == lcount_epoch:
+                        lcount[neighbor] += 1
+                    else:
+                        lcount[neighbor] = 1
+                        lcount_stamps[neighbor] = lcount_epoch
 
         settled_excluding_source = settled_count - 1
         stats.refinement_nodes_settled += settled_excluding_source

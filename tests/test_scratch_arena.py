@@ -3,10 +3,10 @@
 The arena's contract is behavioural invisibility: any number of queries
 drawing scratch from one arena must produce results — ranks, entry
 identity and order, and every QueryStats counter — bit-identical to
-fresh-allocation runs.  These tests pin that down at three levels: the
-EpochStamps primitive, the IntHeap reuse protocol, and end-to-end query
-sweeps (including the >256-epoch wraparound, which a hundred multi-
-refinement queries cross many times over).
+fresh-allocation runs.  These tests pin that down at two levels: the
+EpochStamps primitive and end-to-end query sweeps (including the
+>256-epoch wraparound, which a hundred multi-refinement queries cross
+many times over).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.core import AlgorithmKind, ReverseKRanksEngine
 from repro.core.config import BoundSet
 from repro.core.sds_dynamic import dynamic_reverse_k_ranks
 from repro.graph import CompactGraph
-from repro.traversal import EpochStamps, IntHeap, ScratchArena
+from repro.traversal import EpochStamps, ScratchArena
 
 
 def _stats_signature(result):
@@ -71,46 +71,6 @@ class TestEpochStamps:
         for _ in range(600):
             stamps.advance()
         assert stamps.stamps is table  # hot-loop local refs stay valid
-
-
-# ----------------------------------------------------------------------
-# IntHeap growth + clear-reuse
-# ----------------------------------------------------------------------
-class TestIntHeapReuse:
-    def test_grow_raises_capacity_and_keeps_entries(self):
-        heap = IntHeap(2)
-        heap.push(0, 2.0)
-        heap.push(1, 1.0)
-        heap.grow(5)
-        assert heap.capacity == 5
-        heap.push(4, 0.5)
-        assert heap.pop() == (4, 0.5)
-        assert heap.pop() == (1, 1.0)
-        assert heap.pop() == (0, 2.0)
-        heap.grow(3)  # shrinking is ignored
-        assert heap.capacity == 5
-
-    def test_cleared_heap_pops_in_fresh_order(self):
-        reused = IntHeap(6)
-        for _ in range(5):
-            fresh = IntHeap(6)
-            reused.clear()
-            for key, priority in [(3, 1.0), (1, 1.0), (4, 0.5), (2, 1.0)]:
-                fresh.push(key, priority)
-                reused.push(key, priority)
-            fresh_order = [fresh.pop() for _ in range(4)]
-            reused_order = [reused.pop() for _ in range(4)]
-            assert fresh_order == reused_order
-
-    def test_clear_mid_population_resets_positions(self):
-        heap = IntHeap(4)
-        heap.push(0, 1.0)
-        heap.push(3, 2.0)
-        heap.clear()
-        assert len(heap) == 0
-        assert 0 not in heap and 3 not in heap
-        heap.push(0, 5.0)  # would raise if the position slot leaked
-        assert heap.check_invariant()
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +196,4 @@ class TestArenaGrowth:
         assert len(arena.parent_bound) == 9
         assert len(arena.height_bound) == 9
         assert len(arena.lcount) == 9
-        assert arena.tree_heap.capacity == 9
-        assert arena.refine_heap.capacity == 9
         assert arena.tree_settled.capacity == 9
