@@ -168,7 +168,9 @@ class ReverseKRanksEngine:
 
     #: Worker deaths each parallel batch absorbs in place (respawn +
     #: re-dispatch, see :meth:`WorkerPool.run_batch`) before the batch
-    #: fails.  ``0`` restores fail-fast.  Overridable per instance.
+    #: fails.  ``0`` restores fail-fast.  Overridable per instance; the
+    #: value is read when a pool is built, so a change applies to the
+    #: next pool, not to one already running.
     pool_crash_retries: int = 2
 
     #: How many overlay rows (touched + appended nodes) the CSR
@@ -284,17 +286,6 @@ class ReverseKRanksEngine:
         self._m_parallel_retries = metrics.counter(
             "repro_parallel_retries_total",
             "Fresh-pool parallel retries after a pool failure.",
-        )
-        self._m_shard_plans = metrics.counter(
-            "repro_shard_plans_total",
-            "Shard plans produced for parallel batches, by policy.",
-            labels=("policy",),
-        )
-        self._m_shard_skew = metrics.histogram(
-            "repro_shard_skew_ratio",
-            "Largest shard size over the ideal even share, per plan.",
-            labels=("policy",),
-            buckets=(1.0, 1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0),
         )
         # Declared here (idempotently re-registered by the pool) so
         # pool_health() can read them before any pool exists.
@@ -870,7 +861,6 @@ class ReverseKRanksEngine:
         bounds: Optional[BoundSet] = None,
         cache_size: Optional[int] = None,
         workers: int = 1,
-        shard_policy: str = "round_robin",
         worker_context: Optional[str] = None,
         stats: str = "per-query",
         on_pool_failure: str = "retry",
@@ -903,7 +893,7 @@ class ReverseKRanksEngine:
             disables caching.  Cache hits return the same
             :class:`~repro.core.types.QueryResult` object.  In parallel
             mode a truthy ``cache_size`` deduplicates repeated queries
-            parent-side before shard planning (only unique queries are
+            parent-side before sharding (only unique queries are
             dispatched; the capacity bound is irrelevant there because
             the whole batch's unique set is kept), and duplicate
             positions share one result object just like sequential
@@ -923,11 +913,6 @@ class ReverseKRanksEngine:
             mutations; see :meth:`prepare_parallel` / :meth:`close_pool`.
             Single-query batches fall back to sequential execution
             (nothing to shard).
-        shard_policy:
-            Parallel mode only: ``"round_robin"`` (default), ``"cost"``
-            (degree/hub-proximity-estimated balancing) or ``"affinity"``
-            (repeated queries pin to the same worker) — see
-            :class:`repro.parallel.ShardPolicy`.
         worker_context:
             Parallel mode only: multiprocessing start method (``"fork"``,
             ``"spawn"``, ``"forkserver"``, or ``None`` for the platform
@@ -1012,7 +997,7 @@ class ReverseKRanksEngine:
             path = "sequential"
             if workers > 1:
                 # The result cache, parallel-side: repeated queries are
-                # deduplicated *before* shard planning (k/algorithm/bounds
+                # deduplicated *before* sharding (k/algorithm/bounds
                 # are batch constants, so the cache key degenerates to the
                 # query node) and the unique results fanned back out
                 # afterwards — duplicate positions share one QueryResult
@@ -1033,8 +1018,7 @@ class ReverseKRanksEngine:
                         try:
                             unique = self._query_many_parallel(
                                 dispatch, k, kind, bounds, workers,
-                                shard_policy, worker_context, stats,
-                                batch_timeout,
+                                worker_context, stats, batch_timeout,
                             )
                         except (WorkerCrashError, WorkerTimeoutError):
                             # _query_many_parallel already pruned the pool.
@@ -1050,8 +1034,7 @@ class ReverseKRanksEngine:
                                 try:
                                     unique = self._query_many_parallel(
                                         dispatch, k, kind, bounds, workers,
-                                        shard_policy, worker_context, stats,
-                                        batch_timeout,
+                                        worker_context, stats, batch_timeout,
                                     )
                                 except (WorkerCrashError, WorkerTimeoutError):
                                     self.pool_failures += 1
@@ -1343,44 +1326,27 @@ class ReverseKRanksEngine:
         kind: AlgorithmKind,
         bounds: Optional[BoundSet],
         workers: int,
-        shard_policy: str,
         worker_context: Optional[str],
         stats_mode: str,
         batch_timeout: Optional[float] = None,
     ) -> List[QueryResult]:
-        from repro.parallel import ShardPlanner
-
         tracer = self.tracer
         with tracer.span("engine.pool_ensure", workers=workers):
             pool = self._ensure_pool(workers, worker_context)
-        with tracer.span("engine.plan", policy=shard_policy) as plan_span:
-            planner = ShardPlanner(pool.num_workers, policy=shard_policy)
-            plan = planner.plan(
-                batch,
-                graph=self.compact_graph(),
-                index=self._index if kind is AlgorithmKind.INDEXED else None,
-            )
-            skew = plan.skew()
-            plan_span.set(policy=plan.policy.value, skew=skew)
-        policy = plan.policy.value
-        self._m_shard_plans.labels(policy=policy).inc()
-        self._m_shard_skew.labels(policy=policy).observe(skew)
         try:
-            with tracer.span(
-                "engine.pool_dispatch",
-                shards=len(plan.non_empty()), policy=policy,
-            ) as dispatch_span:
+            with tracer.span("engine.pool_dispatch") as dispatch_span:
                 outcome = pool.run_batch(
-                    plan, k, kind, bounds=bounds, stats_mode=stats_mode,
+                    batch, k, kind, bounds=bounds, stats_mode=stats_mode,
                     timeout=batch_timeout,
-                    crash_retries=self.pool_crash_retries,
                     trace_id=tracer.trace_id if tracer.enabled else None,
                 )
                 # Worker-side span trees (durations + worker-local
                 # offsets) stitch under this dispatch span — one tree
                 # per batch, one trace id across the IPC boundary.
                 tracer.attach(outcome.worker_traces)
-                dispatch_span.set(ipc_bytes=outcome.ipc_bytes)
+                dispatch_span.set(
+                    shards=outcome.shards, ipc_bytes=outcome.ipc_bytes
+                )
         except (WorkerCrashError, WorkerTimeoutError):
             # The pool exhausted its in-place healing (or blew the batch
             # deadline); drop it so a caller's retry gets a fresh pool

@@ -1,7 +1,7 @@
 """Thread-safe metrics primitives with Prometheus text exposition.
 
-One dependency-free registry that every layer of the stack (engine, shard
-planner, worker pool, journal, server) writes into, replacing the ad-hoc
+One dependency-free registry that every layer of the stack (engine,
+worker pool, journal, server) writes into, replacing the ad-hoc
 per-object counters that previously had to be collected by hand through
 ``stats``/``health`` op payloads.  Three instrument types:
 
@@ -9,8 +9,9 @@ per-object counters that previously had to be collected by hand through
 * :class:`Gauge` — settable float, ``set(value)`` / ``inc`` / ``dec``;
 * :class:`Histogram` — fixed cumulative buckets, ``observe(value)``.
 
-Each family optionally declares label names; ``family.labels(policy="cost")``
-returns (and memoises) the child for that label combination.  A family with
+Each family optionally declares label names;
+``family.labels(direction="result")`` returns (and memoises) the child for
+that label combination.  A family with
 no labels *is* its own child — ``family.inc()`` works directly.
 
 Concurrency: family creation takes the registry lock; every child guards its

@@ -7,14 +7,12 @@ one piece of shared mutable state: the hub index keeps learning from every
 indexed refinement (Algorithm 4).  This package supplies the execution
 substrate that exploits the former and reconciles the latter:
 
-* :mod:`repro.parallel.planner` — :class:`ShardPlanner`, deterministic
-  batch chunking (round-robin, cost-estimated, cache-affinity);
 * :mod:`repro.parallel.worker` — the spawn-safe worker process entry
   point (a private engine per worker, rebuilt from one pickled graph
   compilation + hub-index snapshot);
 * :mod:`repro.parallel.pool` — :class:`WorkerPool`, the persistent
-  process pool with startup barrier, typed crash surfacing and graceful
-  shutdown;
+  process pool that splits each batch round-robin across its workers,
+  with startup barrier, typed crash surfacing and graceful shutdown;
 * :mod:`repro.parallel.codec` — :class:`ShardResultCodec`, the flat-array
   transport of shard results (ranks as doubles, entry nodes as CSR
   indexes, per-query offsets, stats payload selected by the ``stats``
@@ -38,14 +36,9 @@ from repro.parallel.merge import (
     ShardOutput,
     merge_shard_outputs,
 )
-from repro.parallel.planner import Shard, ShardPlan, ShardPlanner, ShardPolicy
 from repro.parallel.pool import WorkerPool
 
 __all__ = [
-    "Shard",
-    "ShardPlan",
-    "ShardPlanner",
-    "ShardPolicy",
     "ShardOutput",
     "ShardResultBlock",
     "ShardResultCodec",

@@ -265,7 +265,7 @@ class ShardResultCodec:
         """Rebuild one :class:`QueryResult` per query from ``block``.
 
         ``queries`` supplies the query nodes in shard order — taken from
-        the *parent's* shard plan, never from worker-reported state.
+        the *parent's* shard split, never from worker-reported state.
         Entry order, node identity and rank values reproduce the worker's
         results bit for bit (ranks travel as IEEE doubles, which compare
         equal to the ints the refinement produces).  ``validated=True``
@@ -284,7 +284,7 @@ class ShardResultCodec:
         if len(queries) != block.num_queries:
             raise ParallelExecutionError(
                 f"shard result block carries {block.num_queries} queries "
-                f"but the plan assigned {len(queries)}"
+                f"but the split assigned {len(queries)}"
             )
         num_nodes = csr.num_nodes
         node_at = csr.node_at

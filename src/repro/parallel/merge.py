@@ -34,7 +34,7 @@ class ShardOutput:
 
     ``results`` is either a decoded result sequence or an encoded
     :class:`ShardResultBlock`; in the latter case ``queries`` must carry
-    the shard's query nodes **from the parent's plan** (the decode never
+    the shard's query nodes **from the parent's split** (the decode never
     trusts worker-reported identifiers).
     """
 
@@ -42,7 +42,7 @@ class ShardOutput:
     positions: Tuple[int, ...]
     results: Union[Sequence[QueryResult], ShardResultBlock]
     delta: Optional[object] = None  # a HubIndexDelta when learning was logged
-    queries: Optional[Tuple] = None  # plan-side query nodes (encoded shards)
+    queries: Optional[Tuple] = None  # parent-side query nodes (encoded shards)
     trace: Optional[dict] = None  # worker-side span tree (traced batches)
 
 
@@ -119,7 +119,7 @@ def merge_shard_outputs(
             if output.queries is None:
                 raise ParallelExecutionError(
                     f"shard {output.shard_index} is encoded but carries no "
-                    "plan-side query nodes to rebuild results against"
+                    "parent-side query nodes to rebuild results against"
                 )
             results = ShardResultCodec.decode(
                 block, csr, output.queries, validated=True

@@ -27,7 +27,6 @@ from repro.errors import ParallelExecutionError, WorkerCrashError
 from repro.graph import CompactGraph, Graph
 from repro.parallel import (
     ShardOutput,
-    ShardPlanner,
     ShardResultBlock,
     ShardResultCodec,
     WorkerPool,
@@ -363,9 +362,8 @@ class TestCrashPositions:
             deadline = time.time() + 5.0
             while pool._processes[0].is_alive() and time.time() < deadline:
                 time.sleep(0.05)
-            plan = ShardPlanner(2).plan(queries)
             with pytest.raises(WorkerCrashError) as excinfo:
-                pool.run_batch(plan, 3, "dynamic")
+                pool.run_batch(queries, 3, "dynamic")
         # Round-robin over 2 shards: shard 0 (worker 0) held the even
         # positions; the crash must name exactly those.
         assert excinfo.value.worker_id == 0

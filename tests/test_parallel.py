@@ -1,4 +1,4 @@
-"""The repro.parallel subsystem: planner, merger, pool, engine integration.
+"""The repro.parallel subsystem: shard split, merger, pool, engine integration.
 
 Process-spawning tests default to the ``fork`` start method (cheap on the
 CI's Linux runners) and run one representative round trip under ``spawn``
@@ -20,13 +20,8 @@ from repro.core.types import QueryResult, RankedNode
 from repro.core.validation import results_equivalent
 from repro.errors import ParallelExecutionError, WorkerCrashError
 from repro.graph import CompactGraph
-from repro.parallel import (
-    ShardOutput,
-    ShardPlanner,
-    ShardPolicy,
-    WorkerPool,
-    merge_shard_outputs,
-)
+from repro.parallel import ShardOutput, WorkerPool, merge_shard_outputs
+from repro.parallel.pool import chunk_evenly, split_round_robin
 
 from conftest import sample_queries
 
@@ -41,72 +36,30 @@ FAST_CONTEXT = "fork" if HAVE_FORK else None
 
 
 # ----------------------------------------------------------------------
-# ShardPlanner
+# Shard split (WorkerPool.run_batch) and hub-build chunking
 # ----------------------------------------------------------------------
 class TestShardPlanner:
     def test_round_robin_covers_every_position_once(self):
-        plan = ShardPlanner(3).plan(list("abcdefgh"))
+        shards = split_round_robin(list("abcdefgh"), 3)
         positions = sorted(
-            position for shard in plan.shards for position in shard.positions
+            position for shard in shards for position in shard.positions
         )
         assert positions == list(range(8))
-        assert plan.num_queries == 8
-        assert [len(shard) for shard in plan.shards] == [3, 3, 2]
+        assert [len(shard.queries) for shard in shards] == [3, 3, 2]
+        # A short batch leaves the surplus workers without a shard.
+        assert len(split_round_robin(["a", "b"], 3)) == 2
 
     def test_round_robin_preserves_query_position_pairing(self):
         batch = ["q0", "q1", "q2", "q3", "q4"]
-        plan = ShardPlanner(2).plan(batch)
-        for shard in plan.shards:
+        for shard in split_round_robin(batch, 2):
             for position, query in zip(shard.positions, shard.queries):
                 assert batch[position] == query
 
-    def test_affinity_is_stable_across_planners_and_processes(self):
-        planner_a = ShardPlanner(4, policy="affinity")
-        planner_b = ShardPlanner(4, policy=ShardPolicy.AFFINITY)
-        for query in ["x", "y", 17, (1, 2)]:
-            assert planner_a.affinity_shard(query) == planner_b.affinity_shard(query)
-        plan = planner_a.plan(["x", "y", "x", "y", "x"])
-        shard_of = {}
-        for shard in plan.shards:
-            for query in shard.queries:
-                shard_of.setdefault(query, shard.index)
-                assert shard_of[query] == shard.index  # repeats pinned
-
-    def test_cost_policy_balances_and_covers(self, random_gnp):
-        csr = CompactGraph.from_graph(random_gnp)
-        batch = sorted(random_gnp.nodes(), key=repr)
-        plan = ShardPlanner(3, policy="cost").plan(batch, graph=csr)
-        positions = sorted(
-            position for shard in plan.shards for position in shard.positions
-        )
-        assert positions == list(range(len(batch)))
-        loads = [
-            sum(ShardPlanner.estimate_cost(query, csr) for query in shard.queries)
-            for shard in plan.shards
-        ]
-        # LPT keeps the spread below one maximal item's cost.
-        assert max(loads) - min(loads) <= max(
-            ShardPlanner.estimate_cost(query, csr) for query in batch
-        )
-
-    def test_cost_policy_prefers_index_known_queries(self, random_gnp):
-        engine = ReverseKRanksEngine(random_gnp)
-        index = engine.build_index(num_hubs=4, capacity=8)
-        seeded = max(
-            random_gnp.nodes(), key=lambda node: index.reverse_rank_count(node)
-        )
-        assert index.reverse_rank_count(seeded) > 0
-        cheap = ShardPlanner.estimate_cost(seeded, random_gnp, index)
-        plain = ShardPlanner.estimate_cost(seeded, random_gnp, None)
-        assert cheap < plain
-
     def test_invalid_parameters_raise_typed_errors(self):
         with pytest.raises(ParallelExecutionError):
-            ShardPlanner(0)
+            chunk_evenly([1, 2], 0)
         with pytest.raises(ParallelExecutionError):
-            ShardPlanner(True)
-        with pytest.raises(ParallelExecutionError):
-            ShardPlanner(2, policy="bogus")
+            chunk_evenly([1, 2], True)
 
 
 # ----------------------------------------------------------------------
@@ -170,17 +123,19 @@ class TestMergeShardOutputs:
 # ----------------------------------------------------------------------
 @needs_fork
 class TestEngineParallel:
-    @pytest.mark.parametrize("kind", ["naive", "static", "dynamic"])
-    @pytest.mark.parametrize("policy", ["round_robin", "cost", "affinity"])
-    def test_parallel_matches_sequential_bit_identical(
-        self, random_gnp, kind, policy
-    ):
+    # The ids keep the ``round_robin-`` prefix from when the split was
+    # one of several policies, so the test ids stay stable.
+    @pytest.mark.parametrize(
+        "kind", ["naive", "static", "dynamic"],
+        ids=lambda kind: f"round_robin-{kind}",
+    )
+    def test_parallel_matches_sequential_bit_identical(self, random_gnp, kind):
         queries = sorted(random_gnp.nodes(), key=repr)[:8]
         with ReverseKRanksEngine(random_gnp) as engine:
             sequential = engine.query_many(queries, 4, algorithm=kind)
             parallel = engine.query_many(
                 queries, 4, algorithm=kind, workers=2,
-                shard_policy=policy, worker_context=FAST_CONTEXT,
+                worker_context=FAST_CONTEXT,
             )
         assert [result.as_pairs() for result in parallel] == [
             result.as_pairs() for result in sequential
@@ -448,9 +403,9 @@ class TestWorkerPool:
         for process in processes:
             assert not process.is_alive()
         pool.close()  # idempotent
-        plan = ShardPlanner(2).plan(sorted(random_gnp.nodes(), key=repr)[:4])
+        queries = sorted(random_gnp.nodes(), key=repr)[:4]
         with pytest.raises(ParallelExecutionError):
-            pool.run_batch(plan, 2, "dynamic")
+            pool.run_batch(queries, 2, "dynamic")
 
     def test_killed_worker_surfaces_as_typed_crash(self, random_gnp):
         # crash_retries=0 restores the fail-fast contract this test pins.
@@ -464,9 +419,8 @@ class TestWorkerPool:
             deadline = time.time() + 5.0
             while pool._processes[0].is_alive() and time.time() < deadline:
                 time.sleep(0.05)
-            plan = ShardPlanner(2).plan(queries)
             with pytest.raises(WorkerCrashError) as excinfo:
-                pool.run_batch(plan, 3, "dynamic")
+                pool.run_batch(queries, 3, "dynamic")
             assert excinfo.value.worker_id == 0
             assert excinfo.value.exitcode == -signal.SIGKILL
             assert excinfo.value.positions  # the lost shard is named
@@ -482,8 +436,7 @@ class TestWorkerPool:
             deadline = time.time() + 5.0
             while pool._processes[0].is_alive() and time.time() < deadline:
                 time.sleep(0.05)
-            plan = ShardPlanner(2).plan(queries)
-            outcome = pool.run_batch(plan, 3, "dynamic")
+            outcome = pool.run_batch(queries, 3, "dynamic")
             assert pool.crash_count >= 1
             assert pool.respawn_count >= 1
             assert pool.health()["generations"][0] >= 1
@@ -491,7 +444,7 @@ class TestWorkerPool:
                 r.as_pairs() for r in reference
             ]
             # The healed pool keeps serving.
-            again = pool.run_batch(plan, 3, "dynamic")
+            again = pool.run_batch(queries, 3, "dynamic")
             assert [r.as_pairs() for r in again.results] == [
                 r.as_pairs() for r in reference
             ]
@@ -515,8 +468,7 @@ class TestWorkerPool:
             deadline = time.time() + 5.0
             while pool._processes[0].is_alive() and time.time() < deadline:
                 time.sleep(0.05)
-            plan = ShardPlanner(2).plan(queries)
-            outcome = pool.run_batch(plan, 3, "dynamic")
+            outcome = pool.run_batch(queries, 3, "dynamic")
             assert len(outcome.results) == len(queries)
             assert pool.respawn_count >= 1
             assert pool._result_queues[0] is not poisoned
@@ -542,10 +494,9 @@ class TestWorkerPool:
                 # must kill it and fail the batch in seconds, not wait
                 # out the 60s startup budget.
                 faults.configure("worker.start=sleep(30)")
-                plan = ShardPlanner(2).plan(queries)
                 start = time.monotonic()
                 with pytest.raises(WorkerCrashError) as excinfo:
-                    pool.run_batch(plan, 3, "dynamic")
+                    pool.run_batch(queries, 3, "dynamic")
                 assert time.monotonic() - start < 10.0
                 assert "respawning the worker failed" in str(excinfo.value)
                 assert "did not report ready" in str(excinfo.value)
@@ -570,16 +521,15 @@ class TestWorkerPool:
             # reset) serve batch 3 cleanly again.
             faults.configure("worker.before_result=sleep(30)#2*1")
             with WorkerPool(csr, workers=2, context=FAST_CONTEXT) as pool:
-                plan = ShardPlanner(2).plan(queries)
-                pool.run_batch(plan, 3, "dynamic")
+                pool.run_batch(queries, 3, "dynamic")
                 start = time.monotonic()
                 with pytest.raises(WorkerTimeoutError) as excinfo:
-                    pool.run_batch(plan, 3, "dynamic", timeout=1.0)
+                    pool.run_batch(queries, 3, "dynamic", timeout=1.0)
                 assert time.monotonic() - start < 20.0  # no 30s hang
                 assert excinfo.value.worker_ids
                 assert excinfo.value.positions
                 assert pool.timeout_count == 1
-                outcome = pool.run_batch(plan, 3, "dynamic", timeout=30.0)
+                outcome = pool.run_batch(queries, 3, "dynamic", timeout=30.0)
                 assert [r.as_pairs() for r in outcome.results] == [
                     r.as_pairs() for r in reference
                 ]
@@ -593,15 +543,13 @@ class TestWorkerPool:
         try:
             faults.configure("worker.before_task=error*1")
             with WorkerPool(csr, workers=1, context=FAST_CONTEXT) as pool:
-                plan = ShardPlanner(1).plan(
-                    sorted(random_gnp.nodes(), key=repr)[:2]
-                )
+                queries = sorted(random_gnp.nodes(), key=repr)[:2]
                 with pytest.raises(ParallelExecutionError) as excinfo:
-                    pool.run_batch(plan, 2, "dynamic")
+                    pool.run_batch(queries, 2, "dynamic")
                 assert "FailpointError" in str(excinfo.value)
                 # *1 disarmed the failpoint: the worker survives and the
                 # next batch is clean.
-                outcome = pool.run_batch(plan, 2, "dynamic")
+                outcome = pool.run_batch(queries, 2, "dynamic")
                 assert len(outcome.results) == 2
         finally:
             faults.clear()
@@ -610,12 +558,12 @@ class TestWorkerPool:
         csr = CompactGraph.from_graph(random_gnp)
         with WorkerPool(csr, workers=1, context=FAST_CONTEXT) as pool:
             # k beyond the engine-side validation the worker re-runs.
-            plan = ShardPlanner(1).plan(sorted(random_gnp.nodes(), key=repr)[:2])
+            queries = sorted(random_gnp.nodes(), key=repr)[:2]
             with pytest.raises(ParallelExecutionError) as excinfo:
-                pool.run_batch(plan, 10_000, "dynamic")
+                pool.run_batch(queries, 10_000, "dynamic")
             assert "InvalidKError" in str(excinfo.value)
             # The worker survives a shard error and serves the next batch.
-            outcome = pool.run_batch(plan, 2, "dynamic")
+            outcome = pool.run_batch(queries, 2, "dynamic")
             assert len(outcome.results) == 2
 
 

@@ -246,7 +246,7 @@ def test_engine_rejects_stale_index_at_construction():
 # query_many(workers=N, cache_size=M) used to return from the parallel
 # branch before the cache machinery existed, silently dispatching every
 # duplicate query to the workers.  The fix deduplicates parent-side
-# before shard planning and fans the unique results back out, so
+# before sharding and fans the unique results back out, so
 # duplicate positions share one QueryResult object exactly like a
 # sequential cache hit.
 

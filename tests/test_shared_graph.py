@@ -28,7 +28,7 @@ from repro.graph import (
     attach_compact_graph,
     share_compact_graph,
 )
-from repro.parallel import ShardPlanner, WorkerPool
+from repro.parallel import WorkerPool
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
@@ -217,23 +217,30 @@ class TestPoolTransport:
             assert pool.shared_segment_name is not None
             if _SHM_DIR.is_dir():
                 assert pool.shared_segment_name in _repro_segments()
-            plan = ShardPlanner(2).plan(queries)
-            outcome = pool.run_batch(plan, 3, "dynamic")
+            outcome = pool.run_batch(queries, 3, "dynamic")
             assert len(outcome.results) == len(queries)
         assert pool.shared_segment_name not in _repro_segments()
 
-    def test_pickled_fallback_matches_shared_results(self, random_gnp):
+    def test_pickled_fallback_matches_shared_results(
+        self, random_gnp, monkeypatch
+    ):
         csr = CompactGraph.from_graph(random_gnp)
         queries = sorted(random_gnp.nodes(), key=repr)[:6]
-        plan = ShardPlanner(2).plan(queries)
-        with WorkerPool(
-            csr, workers=2, context=FAST_CONTEXT, share_graph=False
-        ) as pickled_pool:
-            assert not pickled_pool.uses_shared_graph
-            assert pickled_pool.shared_segment_name is None
-            pickled = pickled_pool.run_batch(plan, 3, "dynamic")
         with WorkerPool(csr, workers=2, context=FAST_CONTEXT) as shared_pool:
-            shared = shared_pool.run_batch(plan, 3, "dynamic")
+            shared = shared_pool.run_batch(queries, 3, "dynamic")
+
+        # A platform without writable shared memory: publishing fails and
+        # the pool falls back to shipping pickled copies.
+        def unavailable(graph):
+            raise OSError("shared memory unavailable")
+
+        monkeypatch.setattr(
+            "repro.parallel.pool.share_compact_graph", unavailable
+        )
+        with WorkerPool(csr, workers=2, context=FAST_CONTEXT) as pickled_pool:
+            assert pickled_pool.uses_shared_graph is False
+            assert pickled_pool.shared_segment_name is None
+            pickled = pickled_pool.run_batch(queries, 3, "dynamic")
         assert [result.as_pairs() for result in shared.results] == [
             result.as_pairs() for result in pickled.results
         ]
@@ -273,7 +280,7 @@ class TestPoolTransport:
             while pool._processes[0].is_alive() and time.time() < deadline:
                 time.sleep(0.05)
             with pytest.raises(WorkerCrashError):
-                pool.run_batch(ShardPlanner(2).plan(queries), 3, "dynamic")
+                pool.run_batch(queries, 3, "dynamic")
         finally:
             pool.close()
         pool.close()  # idempotent after a crash
